@@ -147,13 +147,14 @@ def index_appearances(network):
     return dict(appear)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EinExpr:
     """A node of a contraction tree.
 
     Either a leaf (``leaf_id`` set, no args) standing for an input tensor,
     or a branch whose args are contracted together. ``head`` is the index
-    set of the node's result.
+    set of the node's result. Equality and hashing are structural and
+    iterative, since greedy trees can be thousands of levels deep.
     """
 
     head: frozenset
@@ -167,6 +168,34 @@ class EinExpr:
             raise InvalidContractionError(
                 "a node is either a leaf (leaf_id, no args) or a branch (args, no leaf_id)"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.leaf_id != b.leaf_id or a.head != b.head or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(a.args, b.args))
+        return True
+
+    def __hash__(self):
+        hashes = {}
+        stack = [(self, False)]
+        while stack:
+            node, done = stack.pop()
+            if id(node) in hashes:
+                continue
+            if done or node.is_leaf:
+                args = tuple(hashes[id(a)] for a in node.args)
+                hashes[id(node)] = hash((node.head, args, node.leaf_id))
+            else:
+                stack.append((node, True))
+                stack.extend((a, False) for a in node.args)
+        return hashes[id(self)]
 
     @classmethod
     def leaf(cls, sig):

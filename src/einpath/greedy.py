@@ -1,5 +1,6 @@
 """Greedy contraction-order optimization with optional thermal sampling."""
 
+import bisect
 import heapq
 import itertools
 import math
@@ -15,48 +16,52 @@ __all__ = ["GreedyConfig", "greedy", "sampled_greedy"]
 
 BOLTZMANN_POOL = 32  # candidates considered per thermal selection
 
-_SCORES = ("size_difference",)
-
 
 @dataclass(frozen=True)
 class GreedyConfig:
     """Knobs for the greedy optimizer.
 
-    score picks the pair ranking heuristic; temperature > 0 switches pair
-    selection to Boltzmann sampling over the current best candidates;
-    samples > 1 repeats the whole run and keeps the cheapest tree.
+    temperature > 0 switches pair selection to Boltzmann sampling over the
+    current best candidates; samples > 1 repeats the whole run and keeps the
+    cheapest tree.
     """
 
-    score: str = "size_difference"
     temperature: float = 0.0
     samples: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.score not in _SCORES:
-            raise EinPathError(f"unknown score heuristic '{self.score}'")
         if self.temperature < 0:
             raise EinPathError("temperature must be >= 0")
         if self.samples < 1:
             raise EinPathError("samples must be >= 1")
 
 
-def _pop_valid(heap, legs):
-    """Pop entries until one references two live terms; None when exhausted."""
-    while heap:
-        entry = heapq.heappop(heap)
-        if entry[1] in legs and entry[2] in legs:
-            return entry
-    return None
+def _pop_best(heap, legs, extra):
+    """Pop the best entry on two live terms, unless `extra` beats it.
+
+    Stale heap tops are dropped on the way. Returns None when neither exists.
+    """
+    while heap and not (heap[0][1] in legs and heap[0][2] in legs):
+        heapq.heappop(heap)
+    if heap and (extra is None or heap[0] < extra):
+        return heapq.heappop(heap)
+    return extra
 
 
-def _thermal_pop(heap, legs, temperature, rng):
-    """Boltzmann-sample one of the best live candidates, pushing back the rest."""
+def _thermal_pop(heap, legs, temperature, rng, extra):
+    """Boltzmann-sample one of the best live candidates, pushing back the rest.
+
+    `extra`, a candidate that is not on the heap, joins the pool unless the
+    pool already holds its pair; it is never pushed onto the heap.
+    """
     pool = []
     while heap and len(pool) < BOLTZMANN_POOL:
         entry = heapq.heappop(heap)
         if entry[1] in legs and entry[2] in legs:
             pool.append(entry)
+    if extra is not None and all(entry[1:] != extra[1:] for entry in pool):
+        bisect.insort(pool, extra)
     if not pool:
         return None
     if len(pool) == 1:
@@ -76,8 +81,21 @@ def _thermal_pop(heap, legs, temperature, rng):
             break
     entry = pool.pop(chosen)
     for other in pool:
-        heapq.heappush(heap, other)
+        if other is not extra:
+            heapq.heappush(heap, other)
     return entry
+
+
+def _two_live(heap, legs):
+    """The two smallest entries of a lazy-deletion heap whose last item is a live term."""
+    while heap[0][-1] not in legs:
+        heapq.heappop(heap)
+    first = heapq.heappop(heap)
+    while heap[0][-1] not in legs:
+        heapq.heappop(heap)
+    second = heap[0]
+    heapq.heappush(heap, first)
+    return first, second
 
 
 def _greedy_path(network, temperature=0.0, rng=None):
@@ -88,6 +106,20 @@ def _greedy_path(network, temperature=0.0, rng=None):
     (score, smaller id, larger id); stale entries are dropped lazily when
     popped. With no sharing pair left, the two smallest terms are contracted
     (outer products only happen between finished components).
+
+    Output indices carried by every input tensor (einsum batch indices; call
+    them F, with extent product P) are never summed, so every pair shares
+    them. They give no candidates: only indices outside F do, which keeps
+    the pushes near n times the mean number of neighbours instead of n^2.
+    A pair sharing only F scores s_i*s_j/P - s_i - s_j, which never falls as
+    either size grows (every size is a multiple of P), so the best such pair
+    is the two smallest live terms by (size, id). When some term has size P,
+    it scores -P with any partner, and the best pair is the lowest live id
+    with the lowest id of size P, or the two lowest live ids when the lowest
+    has size P. That one lazy pair, kept by two lazy-deletion heaps, competes
+    with the heap top each step; if it shares an index outside F as well,
+    the heap already holds it, so the choice is the same as scoring every
+    pair. With temperature > 0 it joins the Boltzmann pool.
     """
     appear = index_appearances(network)
     extents = network.extents
@@ -99,6 +131,12 @@ def _greedy_path(network, temperature=0.0, rng=None):
         sizes[sig.id] = tensor_size(sig.indices, extents)
         for ix in sig.indices:
             carriers.setdefault(ix, set()).add(sig.id)
+    n = len(network.tensors)
+    carried = frozenset(ix for ix in network.output if len(carriers[ix]) == n)
+    if carried:
+        unit = tensor_size(carried, extents)
+        by_size = sorted((s, t) for t, s in sizes.items())
+        by_id = [(t,) for t in legs]
 
     def merge(i, j):
         counts = dict(legs[i])
@@ -112,38 +150,58 @@ def _greedy_path(network, temperature=0.0, rng=None):
                 size *= extents[ix]
         return kept, size
 
+    def score(i, j):
+        # the merged size, from the product of both sizes: a shared index
+        # counted twice divides out once if kept, twice if summed here
+        a, b = legs[i], legs[j]
+        if len(a) > len(b):
+            a, b = b, a
+        size = sizes[i] * sizes[j]
+        for ix, c in a.items():
+            d = b.get(ix)
+            if d is not None:
+                e = extents[ix]
+                size //= e * e if c + d == appear[ix] else e
+        return size - sizes[i] - sizes[j]
+
     heap = []
-    tick = itertools.count()
     pushes = 0
 
     def push(i, j):
         nonlocal pushes
-        _, size = merge(i, j)
-        score = size - sizes[i] - sizes[j]
-        heapq.heappush(heap, (score, i, j, next(tick)))
+        heapq.heappush(heap, (score(i, j), i, j))
         pushes += 1
 
+    def lazy_pair():
+        (size, a), (_, b) = _two_live(by_size, legs)
+        if size == unit:
+            (lo,), (lo2,) = _two_live(by_id, legs)
+            a, b = (lo, lo2) if a == lo else (lo, a)
+        i, j = min(a, b), max(a, b)
+        return score(i, j), i, j
+
     seen = set()
-    for ix in sorted(carriers):
+    for ix in sorted(carriers.keys() - carried):
         for i, j in itertools.combinations(sorted(carriers[ix]), 2):
             if (i, j) not in seen:
                 seen.add((i, j))
                 push(i, j)
 
     pairs = []
-    next_id = len(network.tensors)
+    next_id = n
     while len(legs) > 1:
+        lazy = lazy_pair() if carried else None
         if temperature > 0:
-            entry = _thermal_pop(heap, legs, temperature, rng)
+            entry = _thermal_pop(heap, legs, temperature, rng, lazy)
         else:
-            entry = _pop_valid(heap, legs)
+            entry = _pop_best(heap, legs, lazy)
         if entry is None:
             # disconnected remainder: fold the two smallest results together
             i, j = sorted(legs, key=lambda t: (sizes[t], t))[:2]
             if i > j:
                 i, j = j, i
         else:
-            _, i, j, _ = entry
+            _, i, j = entry
         kept, size = merge(i, j)
         k = next_id
         next_id += 1
@@ -161,10 +219,14 @@ def _greedy_path(network, temperature=0.0, rng=None):
         for ix in kept:
             # an output index can outlive every other carrier
             carriers.setdefault(ix, set()).add(k)
-            neighbours |= carriers[ix]
+            if ix not in carried:
+                neighbours |= carriers[ix]
         neighbours.discard(k)
         for b in sorted(neighbours):
             push(b, k)
+        if carried:
+            heapq.heappush(by_size, (size, k))
+            heapq.heappush(by_id, (k,))
         pairs.append((i, j))
     return pairs, pushes
 
@@ -181,8 +243,8 @@ def _single_run(network, config, sample):
 def greedy(network, config=None):
     """Greedily contract the best-scoring pair until one tensor remains.
 
-    The default heuristic scores a pair by the size of its result minus the
-    sizes of both operands (lower is better). Returns the tree and its cost.
+    A pair scores the size of its result minus the sizes of both operands
+    (lower is better). Returns the tree and its cost.
     """
     config = config or GreedyConfig()
     if len(network.tensors) == 1:
@@ -212,7 +274,7 @@ def sampled_greedy(network, config=None):
         return leaf, CostReport(0, 0, 0)
     if config.temperature == 0 and config.samples > 1:
         warnings.warn("temperature=0 makes all greedy samples identical", stacklevel=2)
-        config = GreedyConfig(score=config.score, temperature=0.0, samples=1, seed=config.seed)
+        config = GreedyConfig(temperature=0.0, samples=1, seed=config.seed)
     best = None
     for sample, tree, report in _sample_runs(network, config):
         if best is None or report.flops < best[2].flops:

@@ -128,6 +128,21 @@ def test_einexpr_leaf_xor_branch():
     assert leaf.is_leaf and leaf.leaf_id == 3 and leaf.head == frozenset("ij")
 
 
+def test_deep_tree_equality_and_hash():
+    # a left-deep chain 5000 levels deep, past any recursion limit
+    n = 5001
+    sigs = [TensorSig(t, tuple(f"e{k}" for k in (t - 1, t) if 0 <= k < n - 1)) for t in range(n)]
+    net = TensorNetwork(tuple(sigs), {f"e{k}": 2 for k in range(n - 1)}, ())
+    chain = [(0, 1)] + [(n + k, k + 2) for k in range(n - 2)]
+    tree = ssa_to_tree(SsaPath(chain), net)
+    again = ssa_to_tree(SsaPath(chain), net)
+    swapped = ssa_to_tree(SsaPath([(1, 0)] + chain[1:]), net)
+    assert tree == again and hash(tree) == hash(again)
+    assert tree != swapped
+    assert len({tree, again, swapped}) == 2
+    assert tree != tree.args[0] and tree != "tree"
+
+
 def test_ssa_path_errors(closed6):
     with pytest.raises(MalformedPathError):
         ssa_to_tree(SsaPath(((0, 0),)), closed6)

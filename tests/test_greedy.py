@@ -152,8 +152,8 @@ def test_determinism():
 
 
 def test_config_validation():
-    with pytest.raises(EinPathError):
-        GreedyConfig(score="flops")
+    with pytest.raises(TypeError):
+        GreedyConfig(score="flops")  # a single heuristic, so no knob for it
     with pytest.raises(EinPathError):
         GreedyConfig(temperature=-0.1)
     with pytest.raises(EinPathError):
@@ -173,3 +173,77 @@ def test_reference_agreement_property(n, seed):
     tree, report = greedy(net)
     validate_tree(tree, net)
     assert report == cost(tree, net.extents)
+
+
+def _union(nets):
+    """Disjoint union of networks: indices renamed per part, ids offset."""
+    tensors, extents, output = [], {}, []
+    for part, net in enumerate(nets):
+        rename = {ix: f"{ix}_{part}" for ix in net.extents}
+        for sig in net.tensors:
+            tensors.append(TensorSig(len(tensors), tuple(rename[ix] for ix in sig.indices)))
+        extents.update((rename[ix], e) for ix, e in net.extents.items())
+        output.extend(rename[ix] for ix in net.output)
+    return TensorNetwork(tuple(tensors), extents, tuple(output))
+
+
+def _batched(net, batch_extents):
+    """Add one output index per extent to every tensor (einsum batch indices)."""
+    names = tuple(f"batch{b}" for b in range(len(batch_extents)))
+    tensors = tuple(TensorSig(t.id, t.indices + names) for t in net.tensors)
+    extents = {**net.extents, **dict(zip(names, batch_extents))}
+    return TensorNetwork(tensors, extents, net.output + names)
+
+
+def _batch_network(parts, seed, batch_extents):
+    """Components of the given sizes, then the batch indices on every tensor.
+
+    A one-tensor component has no index of its own, so it starts at the
+    size of the batch indices alone, like a finished component.
+    """
+    nets = []
+    for k, n in enumerate(parts):
+        nets.append(generate(GenConfig(
+            n_tensors=n, regularity=2.5 if n > 1 else 0.0,
+            n_open=seed % 3 if k == 0 else 0,
+            extent_min=1 if seed % 4 == 0 else 2, extent_max=4, seed=seed + k,
+        )))
+    return _batched(_union(nets), batch_extents)
+
+
+_PARTS = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(lambda p: 2 <= sum(p) <= 12)
+_BATCH = st.lists(st.integers(1, 4), min_size=1, max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=_PARTS, seed=st.integers(0, 10**6), batch_extents=_BATCH)
+def test_all_carried_output_matches_reference(parts, seed, batch_extents):
+    net = _batch_network(parts, seed, batch_extents)
+    pairs, _ = _greedy_path(net)
+    assert tuple(pairs) == greedy_reference(net)
+    tree, report = greedy(net)
+    validate_tree(tree, net)
+    assert report == cost(tree, net.extents)
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=_PARTS, seed=st.integers(0, 10**6), batch_extents=_BATCH)
+def test_all_carried_output_thermal_is_deterministic(parts, seed, batch_extents):
+    net = _batch_network(parts, seed, batch_extents)
+    config = GreedyConfig(temperature=0.7, samples=4, seed=seed)
+    first = sampled_greedy(net, config)
+    second = sampled_greedy(net, config)
+    validate_tree(first[0], net)
+    assert tree_to_ssa(first[0]) == tree_to_ssa(second[0])
+    assert first[1] == second[1] == cost(first[0], net.extents)
+
+
+def test_all_carried_output_push_count():
+    # all pairs share the batch index; only the other indices give candidates
+    n = 1000
+    net = _batched(generate(GenConfig(
+        n_tensors=n, regularity=3.0, extent_min=2, extent_max=5, seed=1,
+    )), (4,))
+    pairs, pushes = _greedy_path(net)
+    assert pushes <= 20 * n
+    validate_tree(ssa_to_tree(SsaPath(tuple(pairs)), net), net)
