@@ -86,15 +86,15 @@ def _thermal_pop(heap, legs, temperature, rng, extra):
     return entry
 
 
-def _two_live(heap, legs):
-    """The two smallest entries of a lazy-deletion heap whose last item is a live term."""
-    while heap[0][-1] not in legs:
-        heapq.heappop(heap)
-    first = heapq.heappop(heap)
-    while heap[0][-1] not in legs:
-        heapq.heappop(heap)
-    second = heap[0]
-    heapq.heappush(heap, first)
+def _two_smallest(by_size, legs):
+    """The two smallest live terms of a lazy-deletion (size, id) heap."""
+    while by_size[0][1] not in legs:
+        heapq.heappop(by_size)
+    first = heapq.heappop(by_size)
+    while by_size[0][1] not in legs:
+        heapq.heappop(by_size)
+    second = by_size[0]
+    heapq.heappush(by_size, first)
     return first, second
 
 
@@ -116,7 +116,8 @@ def _greedy_path(network, temperature=0.0, rng=None):
     is the two smallest live terms by (size, id). When some term has size P,
     it scores -P with any partner, and the best pair is the lowest live id
     with the lowest id of size P, or the two lowest live ids when the lowest
-    has size P. That one lazy pair, kept by two lazy-deletion heaps, competes
+    has size P. That one lazy pair, kept by a lazy-deletion (size, id) heap
+    and two forward-moving pointers to the lowest live ids, competes
     with the heap top each step; if it shares an index outside F as well,
     the heap already holds it, so the choice is the same as scoring every
     pair. With temperature > 0 it joins the Boltzmann pool.
@@ -133,10 +134,9 @@ def _greedy_path(network, temperature=0.0, rng=None):
             carriers.setdefault(ix, set()).add(sig.id)
     n = len(network.tensors)
     carried = frozenset(ix for ix in network.output if len(carriers[ix]) == n)
-    if carried:
-        unit = tensor_size(carried, extents)
-        by_size = sorted((s, t) for t, s in sizes.items())
-        by_id = [(t,) for t in legs]
+    unit = tensor_size(carried, extents)
+    by_size = sorted((s, t) for t, s in sizes.items())
+    low = low2 = 0  # the two lowest live ids: new ids are higher, so neither falls
 
     def merge(i, j):
         counts = dict(legs[i])
@@ -173,10 +173,15 @@ def _greedy_path(network, temperature=0.0, rng=None):
         pushes += 1
 
     def lazy_pair():
-        (size, a), (_, b) = _two_live(by_size, legs)
+        nonlocal low, low2
+        (size, a), (_, b) = _two_smallest(by_size, legs)
         if size == unit:
-            (lo,), (lo2,) = _two_live(by_id, legs)
-            a, b = (lo, lo2) if a == lo else (lo, a)
+            while low not in legs:
+                low += 1
+            low2 = max(low2, low + 1)
+            while low2 not in legs:
+                low2 += 1
+            a, b = (low, low2) if a == low else (low, a)
         i, j = min(a, b), max(a, b)
         return score(i, j), i, j
 
@@ -197,7 +202,7 @@ def _greedy_path(network, temperature=0.0, rng=None):
             entry = _pop_best(heap, legs, lazy)
         if entry is None:
             # disconnected remainder: fold the two smallest results together
-            i, j = sorted(legs, key=lambda t: (sizes[t], t))[:2]
+            (_, i), (_, j) = _two_smallest(by_size, legs)
             if i > j:
                 i, j = j, i
         else:
@@ -224,9 +229,7 @@ def _greedy_path(network, temperature=0.0, rng=None):
         neighbours.discard(k)
         for b in sorted(neighbours):
             push(b, k)
-        if carried:
-            heapq.heappush(by_size, (size, k))
-            heapq.heappush(by_id, (k,))
+        heapq.heappush(by_size, (size, k))
         pairs.append((i, j))
     return pairs, pushes
 
