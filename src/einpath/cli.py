@@ -79,6 +79,8 @@ def _run_method(network, args):
             metric=metric,
             init_bound=_parse_init(args.init),
             outer_products=args.outer_products,
+            max_nodes=args.max_nodes,
+            deadline=args.deadline,
         )
         run = exhaustive_dfs if method == "exhaustive-dfs" else exhaustive_bfs
         tree, report, stats = run(network, cfg)
@@ -232,6 +234,8 @@ def _build_parser():
         "--leaf-optimizer", choices=("exhaustive_dfs", "greedy"), default="exhaustive_dfs"
     )
     opt.add_argument("--outer-products", action="store_true")
+    opt.add_argument("--max-nodes", type=int, help="exhaustive search node budget")
+    opt.add_argument("--deadline", type=float, help="exhaustive search time budget in seconds")
     opt.add_argument("--output", default="-", help="path JSON destination")
     opt.add_argument("--stats", help="write a one-row stats CSV here")
     opt.add_argument("--dot", help="write a Graphviz rendering here")

@@ -5,8 +5,18 @@ recursively splits tensor subsets under a cost bound, memoizing each subset's
 optimum, and a breadth-first best-tree-per-subset dynamic program with an
 iteratively raised cost cap. Both avoid outer products unless the network is
 disconnected and nothing else is left to contract (configurable).
+
+The depth-first search enumerates only splits whose two sides are both
+connected (_sides): it grows a side from the subset's lowest unit and, when
+the rest falls apart into components, jumps straight to the sides that leave
+one component whole, in the manner of MinCutLazy / MinCutBranch (Fender &
+Moerkotte, ICDE 2011 / 2012). The order is fixed by the subset and the
+network, and among splits of equal value the first enumerated wins, so where
+optimal trees tie the returned tree can differ from one found under another
+enumeration order, at identical cost.
 """
 
+import time
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -20,7 +30,10 @@ _METRICS = ("flops", "peak_size")
 
 _MEMO_CAP = 1_000_000  # tabulated subsets kept per search
 _SPINE_CAP = 13  # subset DP over disconnected component results
-_CHUNK = 11  # index bits per precomputed size table
+_CHUNK = 11  # most index bits per precomputed size table
+_SUBSET_CHUNK = 8  # most tensor or search-unit bits per precomputed union table
+_CLOCK_EVERY = 4096  # nodes or tabulated subsets between deadline checks
+_NEVER = 1 << 62  # a node count no search reaches
 
 
 @dataclass(frozen=True)
@@ -30,11 +43,17 @@ class SearchConfig:
     init_bound is "naive", "greedy" or an explicit positive metric value;
     it seeds the pruning bound (depth-first) or the starting cost cap
     (breadth-first). outer_products widens the space to all pair sequences.
+    max_nodes caps the nodes a call expands and deadline its wall-clock
+    seconds; a search that passes either raises BudgetError. The deadline
+    is read every few thousand nodes or tabulated subsets, so a call can
+    overrun it slightly.
     """
 
     metric: str = "flops"
     init_bound: object = "greedy"
     outer_products: bool = False
+    max_nodes: int = None
+    deadline: float = None
 
     def __post_init__(self):
         if self.metric not in _METRICS:
@@ -44,6 +63,13 @@ class SearchConfig:
             raise EinPathError("init_bound must be 'naive', 'greedy' or an integer")
         if isinstance(ib, int) and ib < 1:
             raise EinPathError("an explicit bound must be >= 1")
+        mn = self.max_nodes
+        if mn is not None and (isinstance(mn, bool) or not isinstance(mn, int) or mn < 0):
+            raise EinPathError("max_nodes must be a nonnegative integer or None")
+        dl = self.deadline
+        if dl is not None and (isinstance(dl, bool) or not isinstance(dl, (int, float))
+                               or not dl > 0):
+            raise EinPathError("deadline must be a positive number of seconds or None")
 
 
 @dataclass
@@ -55,8 +81,41 @@ class SearchStats:
     best_cost: int = None
 
 
+class _Budget:
+    """The node and wall-clock limits of one search call, from its start."""
+
+    def __init__(self, config):
+        self.max_nodes = config.max_nodes
+        self.deadline = config.deadline
+        self.stop = None if self.deadline is None else time.perf_counter() + self.deadline
+
+    def check_clock(self):
+        """Raise BudgetError when the clock is past the deadline."""
+        if self.stop is not None and time.perf_counter() > self.stop:
+            raise BudgetError(f"search ran past its {self.deadline} s deadline")
+
+    def check(self, nodes):
+        """Raise BudgetError when nodes (the call's total so far) or the clock
+        is past a limit; otherwise return the total at which to check again."""
+        if self.max_nodes is not None and nodes > self.max_nodes:
+            raise BudgetError(f"search expanded more than {self.max_nodes} nodes")
+        if self.stop is None:
+            return _NEVER if self.max_nodes is None else self.max_nodes
+        self.check_clock()
+        due = nodes + _CLOCK_EVERY
+        return due if self.max_nodes is None else min(due, self.max_nodes)
+
+
+def _width(bits, most):
+    """Width of the fewest equal chunks of at most `most` bits covering
+    `bits` bits: as few table lookups as full chunks, with smaller tables."""
+    chunks = max(1, -(-bits // most))
+    return max(1, -(-bits // chunks))
+
+
 class _Space:
-    """Bitmask view of a network: index bits, extents, carrier masks."""
+    """Bitmask view of a network: index bits, extents, carrier masks, and
+    chunked tables of index-subset sizes and of tensor-subset index unions."""
 
     def __init__(self, network):
         names = sorted({ix for sig in network.tensors for ix in sig.indices})
@@ -76,15 +135,27 @@ class _Space:
         for ix in network.output:
             self.out_mask |= 1 << self.bit[ix]
         self._sizes = {0: 1}
+        self.chunk = width = _width(len(names), _CHUNK)
         tables = []
-        for lo in range(0, len(names), _CHUNK):
-            part = self.extents[lo:lo + _CHUNK]
+        for lo in range(0, len(names), width):
+            part = self.extents[lo:lo + width]
             tbl = [1] * (1 << len(part))
             for m in range(1, len(tbl)):
                 b = m & -m
                 tbl[m] = tbl[m ^ b] * part[b.bit_length() - 1]
             tables.append(tbl)
         self.size_tables = tables or [[1]]
+        self.cover_chunk = width = _width(len(self.term_masks), _SUBSET_CHUNK)
+        covers = []
+        for lo in range(0, len(self.term_masks), width):
+            part = self.term_masks[lo:lo + width]
+            tbl = [0] * (1 << len(part))
+            for m in range(1, len(tbl)):
+                b = m & -m
+                tbl[m] = tbl[m ^ b] | part[b.bit_length() - 1]
+            covers.append(tbl)
+        self.cover_tables = covers
+        self.all_terms = (1 << len(self.term_masks)) - 1
 
     def size(self, mask):
         try:
@@ -94,24 +165,27 @@ class _Space:
         s = 1
         m = mask
         i = 0
-        low = (1 << _CHUNK) - 1
+        width = self.chunk
+        low = (1 << width) - 1
         while m:
             s *= self.size_tables[i][m & low]
-            m >>= _CHUNK
+            m >>= width
             i += 1
         self._sizes[mask] = s
         return s
 
     def head(self, leafmask, union):
         """Result indices of a subtree: kept while carried outside or output."""
-        h = self.out_mask & union
-        m = union & ~h
-        while m:
-            b = m & -m
-            if self.carriers[b.bit_length() - 1] & ~leafmask:
-                h |= b
-            m ^= b
-        return h
+        rest = self.all_terms & ~leafmask
+        outside = self.out_mask
+        i = 0
+        width = self.cover_chunk
+        low = (1 << width) - 1
+        while rest:
+            outside |= self.cover_tables[i][rest & low]
+            rest >>= width
+            i += 1
+        return union & outside
 
 
 def _components(space, n):
@@ -195,17 +269,18 @@ def _initial_bound(network, space, config):
     return config.init_bound, None
 
 
-def _connected_masks(adjm, cap):
+def _connected_masks(adjm, cap, budget):
     """Every nonempty connected subset of the unit graph, as a set of index
-    masks, or None when there are more than cap of them.
+    masks, or None as soon as there are more than cap of them.
 
     Grows each subset from its lowest unit one frontier unit at a time; a
     frontier unit skipped at some step is banned below it, so every subset
-    comes up exactly once."""
+    comes up exactly once. The budget's deadline is read as the set grows."""
     u = len(adjm)
     adjbit = {1 << i: adjm[i] for i in range(u)}
     out = set()
     add = out.add
+    due = 0
     for v in range(u):
         start = 1 << v
         above = ~(start | (start - 1))
@@ -222,8 +297,86 @@ def _connected_masks(adjm, cap):
                 if newfront:
                     stack.append((newcur, newfront, banned))
                 add(newcur)
-        if len(out) > cap:
-            return None
+            if len(out) > due:
+                if len(out) > cap:
+                    return None
+                budget.check_clock()
+                due = min(cap, len(out) + _CLOCK_EVERY)
+    return out
+
+
+def _split(mask, adj, conn):
+    """Connected components of a unit mask, lowest unit first. conn, when
+    given, is the set of connected masks; a remainder found in it is one
+    component, so it needs no search."""
+    parts = []
+    while mask:
+        if conn is not None and mask in conn:
+            parts.append(mask)
+            break
+        seen = mask & -mask
+        front = adj[seen] & mask & ~seen
+        while front:
+            seen |= front
+            grow = 0
+            while front:
+                b = front & -front
+                front ^= b
+                grow |= adj[b]
+            front = grow & mask & ~seen
+        parts.append(seen)
+        mask ^= seen
+    return parts
+
+
+def _sides(s, adj, conn):
+    """Split sides of a connected unit set s, in an order fixed by s and the
+    graph alone: every side holding the lowest unit of s such that the side
+    and its complement are both nonempty and connected, each exactly once.
+
+    adj maps each unit bit to its neighbour mask; conn is the set of
+    connected unit masks, or None to check each complement by splitting it.
+    A side grows one frontier unit at a time, and a unit skipped at some step
+    is banned below it. When a grown side's complement falls apart, every
+    larger side with a connected complement has it inside exactly one
+    component K, so the side jumps once per K straight to s minus K (unless
+    that takes in a banned unit) instead of growing through invalid sides.
+    A side's neighbour mask is only ever read inside its complement, which
+    the other components never touch, so a jump keeps the side's mask.
+    """
+    out = []
+    append = out.append
+    stack = [(0, 0, s & -s, 0)]  # (side, its neighbours, frontier, banned)
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        cur, nb, frontier, banned = pop()
+        while frontier:
+            w = frontier & -frontier
+            frontier ^= w
+            side = cur | w
+            comp = s ^ side
+            if comp:
+                nbw = nb | adj[w]
+                if conn is not None and comp in conn:
+                    parts = (comp,)
+                else:
+                    parts = _split(comp, adj, conn)
+                if len(parts) == 1:
+                    append(side)
+                    grow = nbw & comp & ~banned
+                    if grow:
+                        push((side, nbw, grow, banned))
+                else:
+                    for part in parts:
+                        rest = comp ^ part
+                        if rest & banned:
+                            continue
+                        append(side | rest)
+                        grow = nbw & part & ~banned
+                        if grow:
+                            push((side | rest, nbw, grow, banned))
+            banned |= w
     return out
 
 
@@ -239,18 +392,20 @@ def _connected_masks(adjm, cap):
 # with a greedy seed never exceeds nodes_expanded with a naive seed.
 
 
-def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stats):
+def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stats, budget):
     """Best tree over atomic units by memoized depth-first splitting.
 
     items are units of (leafmask, head mask, base value). Solving a unit
     subset tries every split into a side holding the lowest unit and its
     complement, both connected over shared head indices (every nonempty
     complement when outer products are allowed), recursing depth first under
-    one global cost cap. A split is abandoned when an admissible floor (for
-    flops: each side's final merge costs at least its head size and each
-    unit is consumed once by a merge at least as large as it) reaches the
-    bound. Returns a mapping like _capped_dp's, keyed by leafmask; the
-    target key is absent when every tree in the space costs at least cap.
+    one global cost cap; of equal-value splits the first in _sides' order
+    wins. A split is abandoned when an admissible floor (for flops: each
+    side's final merge costs at least its head size and each unit is
+    consumed once by a merge at least as large as it) reaches the bound.
+    Returns a mapping like _capped_dp's, keyed by leafmask; the target key
+    is absent when every tree in the space costs at least cap. budget
+    raises BudgetError once the call's limits are passed.
     """
     u = len(items)
     exts = [it[0] for it in items]
@@ -270,25 +425,7 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
             if hi & heads[j]:
                 adjm[i] |= 1 << j
                 adjm[j] |= 1 << i
-    if not allow_outer:
-        conn_set = _connected_masks(adjm, _MEMO_CAP)
-        if conn_set is not None:
-            is_conn = conn_set.__contains__
-        else:
-            # too many connected subsets to tabulate; check each complement
-            def is_conn(mask):
-                seen = mask & -mask
-                front = adjm[seen.bit_length() - 1] & mask & ~seen
-                while front:
-                    seen |= front
-                    grow = 0
-                    f = front
-                    while f:
-                        b = f & -f
-                        f ^= b
-                        grow |= adjm[b.bit_length() - 1]
-                    front = grow & mask & ~seen
-                return seen == mask
+    conn = None if allow_outer else _connected_masks(adjm, _MEMO_CAP, budget)
 
     hsizes = [size(h) for h in heads]
     adjbit = {1 << i: adjm[i] for i in range(u)}
@@ -296,26 +433,41 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
     for j in range(u):
         meta[1 << j] = (heads[j], hsizes[j], bases[j], exts[j])
 
+    # per chunk of units, (leafmask, head union, base sum, head size sum,
+    # largest head size, largest base) of every unit subset inside it
+    unit_width = _width(u, _SUBSET_CHUNK)
+    unit_tables = []
+    for lo in range(0, u, unit_width):
+        tbl = [(0, 0, 0, 0, 0, 0)] * (1 << min(unit_width, u - lo))
+        for m in range(1, len(tbl)):
+            b = m & -m
+            j = lo + b.bit_length() - 1
+            e, hu, bsum, hsum, hmax, bmax = tbl[m ^ b]
+            hj = hsizes[j]
+            tbl[m] = (e | exts[j], hu | heads[j], bsum + bases[j], hsum + hj,
+                      hj if hj > hmax else hmax, bases[j] if bases[j] > bmax else bmax)
+        unit_tables.append(tbl)
+    unit_low = (1 << unit_width) - 1
+
     def info(s):
         rec = meta.get(s)
         if rec is not None:
             return rec
-        e = hu = bsum = hsum = hmax = bmax = 0
-        m = s
+        e, hu, bsum, hsum, hmax, bmax = unit_tables[0][s & unit_low]
+        m = s >> unit_width
+        i = 1
         while m:
-            b = m & -m
-            m ^= b
-            j = b.bit_length() - 1
-            e |= exts[j]
-            hu |= heads[j]
-            if flops_metric:
-                bsum += bases[j]
-                hj = hsizes[j]
-                hsum += hj
-                if hj > hmax:
-                    hmax = hj
-            elif bases[j] > bmax:
-                bmax = bases[j]
+            e2, hu2, bsum2, hsum2, hmax2, bmax2 = unit_tables[i][m & unit_low]
+            e |= e2
+            hu |= hu2
+            bsum += bsum2
+            hsum += hsum2
+            if hmax2 > hmax:
+                hmax = hmax2
+            if bmax2 > bmax:
+                bmax = bmax2
+            m >>= unit_width
+            i += 1
         h = sp_head(e, hu)
         hs = size(h)
         if flops_metric:
@@ -331,41 +483,18 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
         return rec
 
     def sides_of(s):
-        """Split sides of s holding its lowest unit, in a fixed grow order."""
+        """Split sides of s holding its lowest unit, in a fixed order."""
+        if not allow_outer:
+            return _sides(s, adjbit, conn)
         v0 = s & -s
         rest = s ^ v0
         out = []
-        if allow_outer:
-            sub = (rest - 1) & rest
-            while True:
-                out.append(v0 | sub)
-                if sub == 0:
-                    return out
-                sub = (sub - 1) & rest
-        conn_has = is_conn
-        adj = adjbit
-        append = out.append
-        if conn_has(rest):
-            append(v0)
-        # grow the side one frontier unit at a time; a unit skipped here is
-        # banned below so each connected side comes up exactly once
-        stack = [(v0, adjbit[v0] & rest, 0)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            cur, frontier, banned = pop()
-            while frontier:
-                w = frontier & -frontier
-                frontier ^= w
-                newcur = cur | w
-                newfront = (frontier | (adj[w] & s)) & ~newcur & ~banned
-                banned |= w
-                if newfront:
-                    push((newcur, newfront, banned))
-                comp = s ^ newcur
-                if comp and conn_has(comp):
-                    append(newcur)
-        return out
+        sub = (rest - 1) & rest
+        while True:
+            out.append(v0 | sub)
+            if sub == 0:
+                return out
+            sub = (sub - 1) & rest
 
     solved = {}
     choice = {}
@@ -376,12 +505,15 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
         else:
             failed.add(1 << j)
     nodes = prunes = 0
+    spent = stats.nodes_expanded
+    check_at = budget.check(spent) - spent
 
     tables = space.size_tables
-    low = (1 << _CHUNK) - 1
+    width = space.chunk
+    low = (1 << width) - 1
 
     def solve(s):
-        nonlocal nodes, prunes
+        nonlocal nodes, prunes, check_at
         meta_get = meta.get
         solved_get = solved.get
         unsolvable = failed
@@ -395,6 +527,8 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
             join_term = 0 if exclude_root_scalar and s == target and h == 0 else hs
         for a in sides_of(s):
             nodes += 1
+            if nodes > check_at:
+                check_at = budget.check(spent + nodes) - spent
             b = s ^ a
             ra = meta_get(a)
             if ra is None:
@@ -409,7 +543,7 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
                 i = 0
                 while m:
                     join *= tables[i][m & low]
-                    m >>= _CHUNK
+                    m >>= width
                     i += 1
                 floor = ra[2] + lbb + join
             else:
@@ -489,7 +623,7 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
     return out, tmask
 
 
-def _dfs_attempt(space, n, config, cap, stats):
+def _dfs_attempt(space, n, config, cap, stats, budget):
     """One bounded depth-first sweep; returns SSA pairs, or None when the cap
     excludes every tree in the space."""
     singles = [(1 << i, space.term_masks[i], 0) for i in range(n)]
@@ -497,7 +631,7 @@ def _dfs_attempt(space, n, config, cap, stats):
     pairs = []
     counter = [n]
     if config.outer_products:
-        best, target = _dfs_solve(space, singles, config.metric, True, True, cap, stats)
+        best, target = _dfs_solve(space, singles, config.metric, True, True, cap, stats, budget)
         if target not in best:
             return None
         _emit(best, target, base, pairs, counter)
@@ -507,7 +641,7 @@ def _dfs_attempt(space, n, config, cap, stats):
     for comp in comps:
         members = [s for s in singles if s[0] & comp]
         sub, _ = _dfs_solve(
-            space, members, config.metric, False, len(comps) == 1, cap, stats
+            space, members, config.metric, False, len(comps) == 1, cap, stats, budget
         )
         if comp not in sub:
             return None
@@ -516,7 +650,7 @@ def _dfs_attempt(space, n, config, cap, stats):
         units.append(((comp, root), (comp, headmask, value)))
     if len(units) > 1:
         spine, target = _dfs_solve(
-            space, [un[1] for un in units], config.metric, True, True, cap, stats
+            space, [un[1] for un in units], config.metric, True, True, cap, stats, budget
         )
         if target not in spine:
             return None
@@ -542,26 +676,28 @@ def exhaustive_dfs(network, config=None):
         leaf = EinExpr.leaf(network.tensors[0])
         stats.best_cost = 0
         return leaf, CostReport(0, 0, 0), stats
+    budget = _Budget(config)
     space = _Space(network)
     bound, incumbent = _initial_bound(network, space, config)
-    pairs = _dfs_attempt(space, n, config, bound, stats)
+    pairs = _dfs_attempt(space, n, config, bound, stats, budget)
     if pairs is None:
         pairs = incumbent
     if pairs is None:
         # the bound excluded every tree in the space; search again without it
-        pairs = _dfs_attempt(space, n, config, None, stats)
+        pairs = _dfs_attempt(space, n, config, None, stats, budget)
     tree = ssa_to_tree(SsaPath(pairs), network)
     report = cost(tree, network.extents)
     stats.best_cost = _metric_of(report, config.metric)
     return tree, report, stats
 
 
-def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, cap0, stats):
+def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, cap0, stats, budget):
     """Best tree per subset, admitting only subtrees within a cost cap.
 
     items are atomic units: (leafmask, head mask, base value). The cap rises
     geometrically until the union of all units is solved; any subset whose
     optimum fits under the final cap is recorded optimally along the way.
+    budget raises BudgetError once the call's limits are passed.
     """
     best = {}
     levels = defaultdict(list)
@@ -576,6 +712,7 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, cap0, sta
     cap = max(cap0, 1)
     factor = max(2, space.max_extent)
     top = target.bit_count()
+    check_at = budget.check(stats.nodes_expanded)
     while target not in best:
         for c in range(2, top + 1):
             for d in range(1, c // 2 + 1):
@@ -591,6 +728,8 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, cap0, sta
                         if not allow_outer and not ha & hb:
                             continue
                         stats.nodes_expanded += 1
+                        if stats.nodes_expanded > check_at:
+                            check_at = budget.check(stats.nodes_expanded)
                         key = a | b
                         head = space.head(key, ha | hb)
                         if flops_metric:
@@ -647,13 +786,16 @@ def exhaustive_bfs(network, config=None):
         return leaf, CostReport(0, 0, 0), stats
     if n > 64:
         raise BudgetError("breadth-first search uses subset bitmasks capped at 64 tensors")
+    budget = _Budget(config)
     space = _Space(network)
     bound, _ = _initial_bound(network, space, config)
     singletons = [(1 << i, space.term_masks[i], 0) for i in range(n)]
     pairs = []
     counter = [n]
     if config.outer_products:
-        best, target = _capped_dp(space, singletons, config.metric, True, True, bound, stats)
+        best, target = _capped_dp(
+            space, singletons, config.metric, True, True, bound, stats, budget
+        )
         base = {1 << i: i for i in range(n)}
         _emit(best, target, base, pairs, counter)
     else:
@@ -669,16 +811,14 @@ def exhaustive_bfs(network, config=None):
             members = [s for s in singletons if s[0] & comp]
             sub, _ = _capped_dp(
                 space, members, config.metric, False,
-                len(comps) == 1, bound, stats,
+                len(comps) == 1, bound, stats, budget,
             )
             root = _emit(sub, comp, base, pairs, counter)
             value, headmask, _ = sub[comp]
             units.append(((comp, root), (comp, headmask, value)))
-        if len(units) == 1:
-            pass
-        else:
+        if len(units) > 1:
             spine, target = _capped_dp(
-                space, [u[1] for u in units], config.metric, True, True, bound, stats
+                space, [u[1] for u in units], config.metric, True, True, bound, stats, budget
             )
             roots = {comp: root for (comp, root), _ in units}
             _emit(spine, target, roots, pairs, counter)

@@ -83,6 +83,21 @@ def test_budget_exit_code(tmp_path, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["exhaustive-dfs", "exhaustive-bfs"])
+@pytest.mark.parametrize("limit", [["--max-nodes", "1"], ["--deadline", "1e-9"]])
+def test_search_limit_exit_code(method, limit, net_file, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    argv = ["optimize", "--input", str(net_file), "--method", method, "--output", str(out)]
+    assert cli_main(argv + limit) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    assert not out.exists()
+    # limits the search stays within change nothing
+    assert cli_main(argv + ["--max-nodes", "1000000", "--deadline", "3600"]) == 0
+    with_limits = out.read_text()
+    assert cli_main(argv) == 0
+    assert out.read_text() == with_limits
+
+
 def test_generation_error_exit_code(capsys):
     assert cli_main(["gen", "--tensors", "10", "--max-indices", "3"]) == 3
     assert "generation failed" in capsys.readouterr().err

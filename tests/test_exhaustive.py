@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,8 @@ from einpath import (
     tree_to_ssa,
     validate_tree,
 )
-from einpath.search import exhaustive_bfs, exhaustive_dfs
+from einpath import search
+from einpath.search import _connected_masks, _sides, exhaustive_bfs, exhaustive_dfs
 from oracles import best_tree_cost, min_cost_sequences
 
 
@@ -208,6 +211,13 @@ def test_search_config_validation():
     with pytest.raises(EinPathError):
         SearchConfig(init_bound="best")
     SearchConfig(init_bound=7)  # explicit positive bounds are fine
+    for bad in (-1, True, 2.5, "10"):
+        with pytest.raises(EinPathError):
+            SearchConfig(max_nodes=bad)
+    for bad in (0, -1.0, True, "1", float("nan")):
+        with pytest.raises(EinPathError):
+            SearchConfig(deadline=bad)
+    SearchConfig(max_nodes=0, deadline=0.5)
 
 
 def test_determinism():
@@ -224,3 +234,142 @@ def test_dfs_never_beaten_by_greedy(n, seed):
     _, report, _ = exhaustive_dfs(net, SearchConfig())
     _, greedy_report = greedy(net)
     assert report.flops <= greedy_report.flops
+
+
+def _unit_graph(u, kind, extra):
+    """Neighbour masks of u units: a path, star, cycle or complete graph
+    (every unit sharing a batch index), plus the extra (i, j) edges."""
+    edges = set(extra)
+    if kind == "path":
+        edges |= {(i, i + 1) for i in range(u - 1)}
+    elif kind == "star":
+        edges |= {(0, i) for i in range(1, u)}
+    elif kind == "cycle":
+        edges |= {(i, (i + 1) % u) for i in range(u)}
+    elif kind == "complete":
+        edges |= {(i, j) for i in range(u) for j in range(i + 1, u)}
+    adjm = [0] * u
+    for i, j in edges:
+        if i != j:
+            adjm[i] |= 1 << j
+            adjm[j] |= 1 << i
+    return adjm
+
+
+def _component(mask, adjm):
+    """The units of mask reachable inside it from its lowest unit."""
+    seen = mask & -mask
+    front = seen
+    while front:
+        grow = 0
+        for i in range(len(adjm)):
+            if front >> i & 1:
+                grow |= adjm[i]
+        front = grow & mask & ~seen
+        seen |= front
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), u=st.integers(1, 10),
+       kind=st.sampled_from(["random", "path", "star", "cycle", "complete"]))
+def test_sides_are_the_connected_splits(data, u, kind):
+    pair = st.tuples(st.integers(0, u - 1), st.integers(0, u - 1))
+    extra = data.draw(st.lists(pair, max_size=2 * u if kind == "random" else 2))
+    adjm = _unit_graph(u, kind, extra)
+    adj = {1 << i: adjm[i] for i in range(u)}
+    # a connected unit set: all units but a drawn few, cut to one component
+    dropped = data.draw(st.lists(st.integers(0, u - 1), max_size=2))
+    s = (1 << u) - 1
+    for i in dropped:
+        s &= ~(1 << i)
+    s = _component(s or 1, adjm)
+    low = s & -s
+    want = {
+        c for c in range(1, 1 << u)
+        if c & s == c and c & low and c != s
+        and _component(c, adjm) == c and _component(s ^ c, adjm) == s ^ c
+    }
+    budget = search._Budget(SearchConfig())
+    for conn in (_connected_masks(adjm, 1 << u, budget), None):
+        got = _sides(s, adj, conn)
+        assert len(got) == len(set(got))
+        assert set(got) == want
+        assert _sides(s, adj, conn) == got  # a fixed order
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 30), n_open=st.integers(0, 3), seed=st.integers(0, 10**6),
+       data=st.data())
+def test_space_head_is_the_carrier_rule(n, n_open, seed, data):
+    # an index stays on a subtree's result while it is an output index or
+    # some tensor outside the subtree still carries it
+    net = generate(GenConfig(n_tensors=n, n_open=n_open, extent_max=3, seed=seed))
+    space = search._Space(net)
+    leafmask = data.draw(st.integers(1, (1 << n) - 1))
+    inside = [sig for sig in net.tensors if leafmask >> sig.id & 1]
+    outside = [sig for sig in net.tensors if not leafmask >> sig.id & 1]
+    union = 0
+    for sig in inside:
+        union |= space.term_masks[sig.id]
+    want = {
+        ix for sig in inside for ix in sig.indices
+        if ix in net.output or any(ix in other.indices for other in outside)
+    }
+    got = space.head(leafmask, union)
+    assert got == sum(1 << space.bit[ix] for ix in want)
+
+
+@pytest.mark.parametrize("metric", ["flops", "peak_size"])
+def test_untabulated_connectivity(metric, monkeypatch):
+    # past the memo cap, complements are checked by splitting them into
+    # components instead of by table lookup; the optima must not change
+    monkeypatch.setattr(search, "_MEMO_CAP", 0)
+    for n in (10, 11, 12):
+        for seed in range(2):
+            net = generate(GenConfig(
+                n_tensors=n, extent_max=5, n_open=seed, seed=100 * n + seed,
+            ))
+            config = SearchConfig(metric=metric)
+            tree, report, _ = exhaustive_dfs(net, config)
+            validate_tree(tree, net)
+            _, want, _ = exhaustive_bfs(net, config)
+            assert _value(report, metric) == _value(want, metric), (n, seed)
+
+
+@pytest.mark.parametrize("engine", [exhaustive_dfs, exhaustive_bfs])
+def test_node_budget(engine):
+    net = generate(GenConfig(n_tensors=12, extent_max=5, seed=3))
+    tree, report, stats = engine(net, SearchConfig())
+    # a budget of exactly the nodes the search needs is enough
+    exact = SearchConfig(max_nodes=stats.nodes_expanded)
+    tree2, report2, stats2 = engine(net, exact)
+    assert tree_to_ssa(tree2) == tree_to_ssa(tree)
+    assert (report2, stats2) == (report, stats)
+    # one node fewer, or naive seeding that needs more nodes, is not
+    with pytest.raises(BudgetError, match="nodes"):
+        engine(net, SearchConfig(max_nodes=stats.nodes_expanded - 1))
+    if engine is exhaustive_dfs:
+        _, _, naive = engine(net, SearchConfig(init_bound="naive"))
+        assert naive.nodes_expanded > stats.nodes_expanded
+        with pytest.raises(BudgetError):
+            engine(net, SearchConfig(init_bound="naive", max_nodes=stats.nodes_expanded))
+
+
+@pytest.mark.parametrize("engine", [exhaustive_dfs, exhaustive_bfs])
+def test_deadline(engine):
+    net = generate(GenConfig(n_tensors=12, extent_max=5, seed=3))
+    with pytest.raises(BudgetError, match="deadline"):
+        engine(net, SearchConfig(deadline=1e-9))
+    if engine is exhaustive_dfs:
+        # the deadline also holds while the connectivity table is built,
+        # which at n = 28 takes seconds before the first split
+        big = generate(GenConfig(n_tensors=28, extent_max=5, seed=1))
+        begin = time.perf_counter()
+        with pytest.raises(BudgetError, match="deadline"):
+            engine(big, SearchConfig(deadline=0.05))
+        assert time.perf_counter() - begin < 1.0
+    tree, report, stats = engine(net, SearchConfig())
+    tree2, report2, stats2 = engine(net, SearchConfig(deadline=3600))
+    assert tree_to_ssa(tree2) == tree_to_ssa(tree)
+    assert (report2, stats2) == (report, stats)
