@@ -10,7 +10,9 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from random import Random
+from typing import NamedTuple
 
 from ._util import derive_seed
 from .core import SsaPath, TensorNetwork, TensorSig, cost, ssa_to_tree, tree_to_ssa
@@ -79,7 +81,7 @@ def build_hypergraph(network):
 
 def _balance_bounds(n, imbalance):
     half = -(-n // 2)
-    lo = max(1, math.floor(half * (1 - imbalance)))
+    lo = max(1, min(n // 2, math.floor(half * (1 - imbalance))))
     hi = min(n - 1, math.ceil(half * (1 + imbalance)))
     return lo, hi
 
@@ -99,89 +101,164 @@ def cut_weight(h, part_a):
     return total
 
 
-def _gain(h, incident, counts, side, v):
-    g = 0.0
-    s = side[v]
-    for ix in incident[v]:
-        c = counts[ix]
-        if c[s] == 1:
-            if c[1 - s] >= 1:
-                g += h.weights[ix]
-        elif c[1 - s] == 0:
-            g -= h.weights[ix]
-    return g
+class _Flat(NamedTuple):
+    """bisect's flat layout of a hypergraph. Edges are numbered in sorted
+    index order and vertices by position in sorted order; per edge: its
+    member positions (anchor removed), whether the anchor is a member, its
+    pin count (anchor included) and weight; per vertex: its incident edge
+    ids in increasing order."""
+
+    members: list
+    anchored: bytes
+    pins: list
+    weights: list
+    incident: list
 
 
-def _fm_pass(h, incident, side, sizes, lo, hi):
+def _counts(flat, side):
+    """Pins of every edge on side A (anchor included) and on side B."""
+    c1 = [0] * len(flat.weights)
+    for edges in compress(flat.incident, side):
+        for e in edges:
+            c1[e] += 1
+    return [p - b for p, b in zip(flat.pins, c1)], c1
+
+
+def _cut(flat, c0, c1):
+    """Weight of the edges with pins on both sides, summed in edge order."""
+    total = 0.0
+    for w, a, b in zip(flat.weights, c0, c1):
+        if a and b:
+            total += w
+    return total
+
+
+def _fm_pass(flat, side, sizes, lo, hi):
     """One refinement pass: greedily move unlocked vertices (each at most
     once) by gain under the balance bounds, then keep the best prefix.
-    Returns the achieved cut reduction (>= 0)."""
-    counts = {}
-    for ix, members in h.edges.items():
-        c = [0, 0]
-        for v in members:
-            c[0 if v == ANCHOR else side[v]] += 1
-        counts[ix] = c
+
+    side is a bytearray over vertex positions (0 = A, 1 = B); it and sizes
+    are updated in place. A vertex's gain is summed over its incident edges
+    in edge order, and is recomputed whenever a move changes whether an
+    edge it reads has zero or one pins on a side, so every gain, and with
+    it every tie, is the float a fresh computation gives. Heap entries
+    (-gain, position, generation) are unique, so pop order does not depend
+    on push order.
+
+    An edge with locked pins on both sides stays cut for the rest of the
+    pass (the anchor is a locked pin on side A). Once the initial cut minus
+    the weight of such edges is more than 1e-6 (a margin for float error)
+    below the best reduction so far, no later prefix can beat the best
+    one, and the pass stops early. Returns (the kept cut reduction >= 0,
+    the moves made before the rollback).
+    """
+    members = flat.members
+    weights = flat.weights
+    incident = flat.incident
+    n = len(side)
+    c0, c1 = _counts(flat, side)
+    cnt = (c0, c1)
+    initial_cut = _cut(flat, c0, c1)
     heaps = ([], [])
-    gen = {}
-    for v in sorted(side):
-        gen[v] = 0
-        heapq.heappush(heaps[side[v]], (-_gain(h, incident, counts, side, v), v, 0))
-    locked = set()
+    for u in range(n):
+        s = side[u]
+        cs = cnt[s]
+        ct = cnt[1 - s]
+        g = 0.0
+        for e in incident[u]:
+            if cs[e] == 1:
+                if ct[e]:
+                    g += weights[e]
+            elif not ct[e]:
+                g -= weights[e]
+        heaps[s].append((-g, u, 0))
+    heapq.heapify(heaps[0])
+    heapq.heapify(heaps[1])
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    gen = [0] * n
+    locked = bytearray(n)
+    held = bytearray(flat.anchored)  # per edge: 1 = a locked pin on A, 2 = on B
+    mark = [-1] * n
+    need = max(lo + 1, n - hi + 1)  # a side must hold this many to give one up
     moves = []
     cum = 0.0
     best_cum = 0.0
     best_len = 0
-    n = len(side)
+    dead = 0.0
     while True:
         tops = [None, None]
         for s in (0, 1):
+            if sizes[s] < need:
+                continue  # moving out of s would break balance
             heap = heaps[s]
             while heap:
-                negg, v, g = heap[0]
-                if v in locked or g != gen[v] or side[v] != s:
-                    heapq.heappop(heap)
+                top = heap[0]
+                v = top[1]
+                if locked[v] or top[2] != gen[v]:
+                    heappop(heap)
                     continue
-                tops[s] = (negg, v)
+                tops[s] = top
                 break
-            if sizes[s] < max(lo + 1, n - hi + 1):
-                tops[s] = None  # moving out of s would break balance
-        if tops[0] is None and tops[1] is None:
-            break
-        if tops[1] is None or (tops[0] is not None and tops[0] < tops[1]):
+        top0, top1 = tops
+        if top1 is None:
+            if top0 is None:
+                break
             s = 0
         else:
-            s = 1
-        negg, v = tops[s]
-        heapq.heappop(heaps[s])
-        locked.add(v)
+            s = 0 if top0 is not None and top0 < top1 else 1
+        negg, v, _ = heappop(heaps[s])
         t = 1 - s
+        locked[v] = 1
         side[v] = t
         sizes[s] -= 1
         sizes[t] += 1
-        touched = set()
-        for ix in incident[v]:
-            counts[ix][s] -= 1
-            counts[ix][t] += 1
-            touched.update(h.edges[ix])
         cum += -negg
+        step = len(moves)
         moves.append(v)
         if cum > best_cum + 1e-12:
             best_cum = cum
-            best_len = len(moves)
-        for u in sorted(touched):
-            if u == ANCHOR or u in locked or u == v:
-                continue
+            best_len = step + 1
+        cs = cnt[s]
+        ct = cnt[t]
+        bit = 1 << t
+        touched = []
+        for e in incident[v]:
+            old_s = cs[e]
+            old_t = ct[e]
+            cs[e] = old_s - 1
+            ct[e] = old_t + 1
+            p = held[e]
+            if not p & bit:
+                held[e] = p | bit
+                if p:
+                    dead += weights[e]
+            if old_t <= 1 or old_s <= 2:
+                for u in members[e]:
+                    if mark[u] != step and not locked[u]:
+                        mark[u] = step
+                        touched.append(u)
+        if initial_cut - dead < best_cum - 1e-6:
+            break  # no later prefix can beat the best one
+        for u in touched:
+            su = side[u]
+            cs = cnt[su]
+            ct = cnt[1 - su]
+            g = 0.0
+            for e in incident[u]:
+                if cs[e] == 1:
+                    if ct[e]:
+                        g += weights[e]
+                elif not ct[e]:
+                    g -= weights[e]
             gen[u] += 1
-            heapq.heappush(
-                heaps[side[u]], (-_gain(h, incident, counts, side, u), u, gen[u])
-            )
+            heappush(heaps[su], (-g, u, gen[u]))
     for v in moves[best_len:]:
         s = side[v]
         side[v] = 1 - s
         sizes[s] -= 1
         sizes[1 - s] += 1
-    return best_cum
+    return best_cum, len(moves)
 
 
 def bisect(h, config=None):
@@ -191,6 +268,11 @@ def bisect(h, config=None):
     by up to fm_passes Fiduccia-Mattheyses-style passes each; a pass never
     increases the cut. Returns (part_a, part_b, cut_weight); the virtual
     output anchor counts as part A when weighing cuts.
+
+    The passes run on flat arrays (_Flat) built once per call: vertices
+    become positions 0..n-1 in sorted order, edges ids in sorted-index
+    order, and a side assignment a bytearray. _fm_pass describes the gain
+    rule and the early stop, neither of which changes the result.
     """
     config = config or PartitionConfig()
     vertices = sorted(h.vertices)
@@ -198,27 +280,38 @@ def bisect(h, config=None):
     if n < 2:
         raise EinPathError("bisection needs at least two vertices")
     lo, hi = _balance_bounds(n, config.imbalance)
-    incident = {v: [] for v in vertices}
-    for ix in sorted(h.edges):
-        for v in h.edges[ix]:
-            if v != ANCHOR:
-                incident[v].append(ix)
+    pos = {v: i for i, v in enumerate(vertices)}
+    names = sorted(h.edges)
+    members = [[pos[v] for v in h.edges[ix] if v != ANCHOR] for ix in names]
+    incident = [[] for _ in range(n)]
+    for e, mem in enumerate(members):
+        for p in mem:
+            incident[p].append(e)
+    flat = _Flat(
+        members=members,
+        anchored=bytes(ANCHOR in h.edges[ix] for ix in names),
+        pins=[len(h.edges[ix]) for ix in names],
+        weights=[h.weights[ix] for ix in names],
+        incident=incident,
+    )
     best = None
     for restart in range(_RESTARTS):
         rng = Random(derive_seed(config.seed, restart))
-        perm = vertices[:]
+        perm = list(range(n))
         rng.shuffle(perm)
         size_a = rng.randint(max(lo, n - hi), min(hi, n - lo))
-        side = {v: 0 if pos < size_a else 1 for pos, v in enumerate(perm)}
+        side = bytearray(n)
+        for p in perm[size_a:]:
+            side[p] = 1
         sizes = [size_a, n - size_a]
         for _ in range(config.fm_passes):
-            if _fm_pass(h, incident, side, sizes, lo, hi) <= 0:
+            if _fm_pass(flat, side, sizes, lo, hi)[0] <= 0:
                 break
-        part_a = frozenset(v for v in vertices if side[v] == 0)
-        weight = cut_weight(h, part_a)
+        weight = _cut(flat, *_counts(flat, side))
         if best is None or weight < best[0] - 1e-12:
-            best = (weight, part_a)
-    weight, part_a = best
+            best = (weight, bytes(side))
+    weight, side = best
+    part_a = frozenset(v for v, s in zip(vertices, side) if not s)
     part_b = frozenset(vertices) - part_a
     return part_a, part_b, weight
 
@@ -226,13 +319,9 @@ def bisect(h, config=None):
 def _subnetwork(network, members, carriers, out_set):
     """Sub-network over `members`; indices reaching outside become output."""
     inside = set(members)
-    used = []
     seen = set()
     for pid in members:
-        for ix in network.tensors[pid].indices:
-            if ix not in seen:
-                seen.add(ix)
-                used.append(ix)
+        seen.update(network.tensors[pid].indices)
     sub_output = tuple(
         ix for ix in sorted(seen) if ix in out_set or carriers[ix] - inside
     )

@@ -215,30 +215,30 @@ def _components(space, n):
     return sorted(groups.values(), key=lambda mask: mask & -mask)
 
 
-def _chain_metric(space, n, metric):
-    """Metric value of the naive left-fold chain, its pairs, and whether the
-    chain stays inside the no-outer-product space (every step shares)."""
-    pairs = []
-    cur_ssa = 0
-    cur_leaf = 1
-    cur_mask = space.term_masks[0]
+def _price(space, pairs, metric):
+    """Exact metric value of a full SSA pair list, as cost() reports it, and
+    whether every pair shares an index (no outer product anywhere)."""
+    n = len(space.term_masks)
+    leaves = [1 << t for t in range(n)]
+    heads = list(space.term_masks)
     value = 0
     shares = True
-    for t in range(1, n):
-        mb = space.term_masks[t]
-        if not cur_mask & mb:
+    last = len(pairs) - 1
+    for step, (a, b) in enumerate(pairs):
+        ha = heads[a]
+        hb = heads[b]
+        if not ha & hb:
             shares = False
-        union = cur_mask | mb
-        cur_leaf |= 1 << t
-        new_mask = space.head(cur_leaf, union)
+        union = ha | hb
+        leaf = leaves[a] | leaves[b]
+        head = space.head(leaf, union)
         if metric == "flops":
             value += space.size(union)
-        elif not (t == n - 1 and new_mask == 0):
-            value = max(value, space.size(new_mask))
-        pairs.append((cur_ssa, t))
-        cur_ssa = n + t - 1
-        cur_mask = new_mask
-    return value, pairs, shares
+        elif not (step == last and head == 0):
+            value = max(value, space.size(head))  # a scalar root is no intermediate
+        leaves.append(leaf)
+        heads.append(head)
+    return value, shares
 
 
 def _metric_of(report, metric):
@@ -250,19 +250,20 @@ def _initial_bound(network, space, config):
 
     greedy seeding takes the better of the greedy tree and the naive chain,
     so a greedy-seeded search never starts looser than a naive-seeded one.
-    The chain can only serve as an incumbent when it avoids non-forced outer
-    products; otherwise it would fall outside the search space.
+    Both are priced on the space with exact integers. The chain can only
+    serve as an incumbent when it avoids non-forced outer products;
+    otherwise it would fall outside the search space.
     """
     n = len(network.tensors)
-    naive_val, naive_pairs, chain_ok = _chain_metric(space, n, config.metric)
+    naive_pairs = [(0 if t == 1 else n + t - 2, t) for t in range(1, n)]
+    naive_val, chain_ok = _price(space, naive_pairs, config.metric)
     if config.outer_products:
         chain_ok = True
     if config.init_bound == "naive":
         return naive_val, (naive_pairs if chain_ok else None)
     if config.init_bound == "greedy":
         pairs, _ = _greedy_path(network)
-        report = cost(ssa_to_tree(SsaPath(pairs), network), network.extents)
-        greedy_val = _metric_of(report, config.metric)
+        greedy_val, _ = _price(space, pairs, config.metric)
         if greedy_val <= naive_val:
             return greedy_val, pairs
         return naive_val, (naive_pairs if chain_ok else None)

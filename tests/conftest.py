@@ -1,6 +1,6 @@
 import pytest
 
-from einpath import parse_einsum
+from einpath import TensorNetwork, TensorSig, parse_einsum
 
 # Closed six-tensor network used throughout: every index has extent 2 and
 # joins exactly two tensors. Worked by hand below and in the docs.
@@ -35,3 +35,15 @@ WORKED_HEADS = (
 @pytest.fixture
 def closed6():
     return parse_einsum(EQUATION, EXTENTS)
+
+
+def disjoint_union(nets):
+    """Disjoint union of networks: indices renamed per part, ids offset."""
+    tensors, extents, output = [], {}, []
+    for part, net in enumerate(nets):
+        rename = {ix: f"{ix}_{part}" for ix in net.extents}
+        for sig in net.tensors:
+            tensors.append(TensorSig(len(tensors), tuple(rename[ix] for ix in sig.indices)))
+        extents.update((rename[ix], e) for ix, e in net.extents.items())
+        output.extend(rename[ix] for ix in net.output)
+    return TensorNetwork(tuple(tensors), extents, tuple(output))

@@ -4,9 +4,14 @@ Everything here is written the slow, obvious way on purpose and avoids the
 package's own cost and search code, so agreement actually means something.
 """
 
+import heapq
 import math
 from collections import Counter
 from itertools import combinations
+from random import Random
+
+from einpath._util import derive_seed
+from einpath.partition import ANCHOR, _RESTARTS, _balance_bounds
 
 
 def _bits(network):
@@ -250,3 +255,130 @@ def greedy_reference(network):
         pairs.append((a, b))
         next_id += 1
     return tuple(pairs)
+
+
+def bisect_reference(h, imbalance=0.2, fm_passes=10, seed=0):
+    """Dict-based Fiduccia-Mattheyses bisection, the package's earlier one.
+
+    Same restarts, RNG stream, balance window, gain summation order and
+    tie rules as `einpath.partition.bisect`, written over dicts and sets:
+    every pass moves vertices until none may move, every touched vertex's
+    gain is recomputed after each move, and the best prefix is kept.
+    Returns (part_a, part_b, cut weight).
+    """
+    def cut(part_a):
+        total = 0.0
+        for ix in sorted(h.edges):
+            in_a = in_b = False
+            for v in h.edges[ix]:
+                if v == ANCHOR or v in part_a:
+                    in_a = True
+                else:
+                    in_b = True
+            if in_a and in_b:
+                total += h.weights[ix]
+        return total
+
+    def gain(incident, counts, side, v):
+        g = 0.0
+        s = side[v]
+        for ix in incident[v]:
+            c = counts[ix]
+            if c[s] == 1:
+                if c[1 - s] >= 1:
+                    g += h.weights[ix]
+            elif c[1 - s] == 0:
+                g -= h.weights[ix]
+        return g
+
+    def fm_pass(incident, side, sizes, lo, hi):
+        counts = {}
+        for ix, members in h.edges.items():
+            c = [0, 0]
+            for v in members:
+                c[0 if v == ANCHOR else side[v]] += 1
+            counts[ix] = c
+        heaps = ([], [])
+        gen = {}
+        for v in sorted(side):
+            gen[v] = 0
+            heapq.heappush(heaps[side[v]], (-gain(incident, counts, side, v), v, 0))
+        locked = set()
+        moves = []
+        cum = 0.0
+        best_cum = 0.0
+        best_len = 0
+        n = len(side)
+        while True:
+            tops = [None, None]
+            for s in (0, 1):
+                heap = heaps[s]
+                while heap:
+                    negg, v, g = heap[0]
+                    if v in locked or g != gen[v] or side[v] != s:
+                        heapq.heappop(heap)
+                        continue
+                    tops[s] = (negg, v)
+                    break
+                if sizes[s] < max(lo + 1, n - hi + 1):
+                    tops[s] = None
+            if tops[0] is None and tops[1] is None:
+                break
+            if tops[1] is None or (tops[0] is not None and tops[0] < tops[1]):
+                s = 0
+            else:
+                s = 1
+            negg, v = tops[s]
+            heapq.heappop(heaps[s])
+            locked.add(v)
+            t = 1 - s
+            side[v] = t
+            sizes[s] -= 1
+            sizes[t] += 1
+            touched = set()
+            for ix in incident[v]:
+                counts[ix][s] -= 1
+                counts[ix][t] += 1
+                touched.update(h.edges[ix])
+            cum += -negg
+            moves.append(v)
+            if cum > best_cum + 1e-12:
+                best_cum = cum
+                best_len = len(moves)
+            for u in sorted(touched):
+                if u == ANCHOR or u in locked or u == v:
+                    continue
+                gen[u] += 1
+                heapq.heappush(heaps[side[u]], (-gain(incident, counts, side, u), u, gen[u]))
+        for v in moves[best_len:]:
+            s = side[v]
+            side[v] = 1 - s
+            sizes[s] -= 1
+            sizes[1 - s] += 1
+        return best_cum
+
+    vertices = sorted(h.vertices)
+    n = len(vertices)
+    lo, hi = _balance_bounds(n, imbalance)
+    incident = {v: [] for v in vertices}
+    for ix in sorted(h.edges):
+        for v in h.edges[ix]:
+            if v != ANCHOR:
+                incident[v].append(ix)
+    best = None
+    for restart in range(_RESTARTS):
+        rng = Random(derive_seed(seed, restart))
+        perm = vertices[:]
+        rng.shuffle(perm)
+        size_a = rng.randint(max(lo, n - hi), min(hi, n - lo))
+        side = {v: 0 if pos < size_a else 1 for pos, v in enumerate(perm)}
+        sizes = [size_a, n - size_a]
+        for _ in range(fm_passes):
+            if fm_pass(incident, side, sizes, lo, hi) <= 0:
+                break
+        part_a = frozenset(v for v in vertices if side[v] == 0)
+        weight = cut(part_a)
+        if best is None or weight < best[0] - 1e-12:
+            best = (weight, part_a)
+    weight, part_a = best
+    return part_a, frozenset(vertices) - part_a, weight

@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import WORKED_PAIRS
+from conftest import WORKED_PAIRS, disjoint_union
 from einpath import (
     BudgetError,
     EinPathError,
@@ -318,6 +318,39 @@ def test_space_head_is_the_carrier_rule(n, n_open, seed, data):
     }
     got = space.head(leafmask, union)
     assert got == sum(1 << space.bit[ix] for ix in want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       seed=st.integers(0, 10**6), data=st.data())
+def test_price_is_the_cost_report(parts, seed, data):
+    # the bound seed prices SSA pairs on the bitmask space; it must equal
+    # cost() on the rebuilt tree, for greedy's pairs, the naive chain and
+    # any other full contraction, with open legs and several components
+    net = disjoint_union([
+        generate(GenConfig(
+            n_tensors=n, regularity=2.5 if n > 1 else 0.0, n_open=(seed + k) % 3,
+            extent_min=1, extent_max=4, seed=seed + k,
+        ))
+        for k, n in enumerate(parts)
+    ])
+    n = len(net.tensors)
+    space = search._Space(net)
+    greedy_pairs, _ = search._greedy_path(net)
+    alive = list(range(n))
+    drawn = []
+    while len(alive) > 1:
+        a = alive.pop(data.draw(st.integers(0, len(alive) - 1)))
+        b = alive.pop(data.draw(st.integers(0, len(alive) - 1)))
+        drawn.append((a, b))
+        alive.append(n + len(drawn) - 1)
+    chain = [(0 if t == 1 else n + t - 2, t) for t in range(1, n)]
+    for pairs in (greedy_pairs, chain, drawn):
+        tree = ssa_to_tree(SsaPath(pairs), net)
+        report = cost(tree, net.extents)
+        shares = all(x.head & y.head for x, y in (node.args for node in tree.branches()))
+        assert search._price(space, pairs, "flops") == (report.flops, shares)
+        assert search._price(space, pairs, "peak_size") == (report.peak_size, shares)
 
 
 @pytest.mark.parametrize("metric", ["flops", "peak_size"])

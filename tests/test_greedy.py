@@ -20,6 +20,7 @@ from einpath import (
     validate_tree,
 )
 from einpath.greedy import _greedy_path, _sample_runs
+from conftest import disjoint_union
 from oracles import greedy_reference
 
 # the eight sharing pairs of the six-tensor example and their
@@ -175,18 +176,6 @@ def test_reference_agreement_property(n, seed):
     assert report == cost(tree, net.extents)
 
 
-def _union(nets):
-    """Disjoint union of networks: indices renamed per part, ids offset."""
-    tensors, extents, output = [], {}, []
-    for part, net in enumerate(nets):
-        rename = {ix: f"{ix}_{part}" for ix in net.extents}
-        for sig in net.tensors:
-            tensors.append(TensorSig(len(tensors), tuple(rename[ix] for ix in sig.indices)))
-        extents.update((rename[ix], e) for ix, e in net.extents.items())
-        output.extend(rename[ix] for ix in net.output)
-    return TensorNetwork(tuple(tensors), extents, tuple(output))
-
-
 def _batched(net, batch_extents):
     """Add one output index per extent to every tensor (einsum batch indices)."""
     names = tuple(f"batch{b}" for b in range(len(batch_extents)))
@@ -208,7 +197,7 @@ def _batch_network(parts, seed, batch_extents):
             n_open=seed % 3 if k == 0 else 0,
             extent_min=1 if seed % 4 == 0 else 2, extent_max=4, seed=seed + k,
         )))
-    return _batched(_union(nets), batch_extents)
+    return _batched(disjoint_union(nets), batch_extents)
 
 
 _PARTS = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(lambda p: 2 <= sum(p) <= 12)

@@ -20,9 +20,10 @@ from einpath import (
     tree_to_ssa,
     validate_tree,
 )
-from einpath.partition import ANCHOR, _balance_bounds
+from einpath import partition
+from einpath.partition import ANCHOR, Hypergraph, _balance_bounds
 from einpath.search import exhaustive_dfs
-from oracles import min_balanced_cut
+from oracles import bisect_reference, min_balanced_cut
 
 
 def test_worked_example_hypergraph(closed6):
@@ -91,6 +92,70 @@ def test_bisect_respects_balance(seed):
     assert part_a | part_b == frozenset(range(17))
     assert not part_a & part_b
     assert weight == pytest.approx(cut_weight(h, part_a))
+
+
+@st.composite
+def _hypergraphs(draw):
+    """Vertices with scattered ids; edges of one to five pins or of every
+    vertex, some holding the anchor, weighted log2 of extents 1-5."""
+    n = draw(st.integers(2, 24))
+    vertices = sorted(draw(st.sets(st.integers(0, 999), min_size=n, max_size=n)))
+    edges = {}
+    weights = {}
+    for e in range(draw(st.integers(0, 3 * n))):
+        if draw(st.integers(0, 9)) == 0:
+            members = set(vertices)
+        else:
+            members = set(draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=5)))
+        if draw(st.booleans()):
+            members.add(ANCHOR)
+        edges[f"e{e:03d}"] = frozenset(members)
+        weights[f"e{e:03d}"] = math.log2(draw(st.integers(1, 5)))
+    return Hypergraph(tuple(vertices), edges, weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=_hypergraphs(), imbalance=st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.45]),
+       fm_passes=st.integers(1, 10), seed=st.integers(0, 10**6))
+def test_bisect_matches_reference(h, imbalance, fm_passes, seed):
+    # the array FM with its early stop makes the reference FM's moves:
+    # same halves, and the very same float cut weight
+    config = PartitionConfig(imbalance=imbalance, fm_passes=fm_passes, seed=seed)
+    assert bisect(h, config) == bisect_reference(h, imbalance, fm_passes, seed)
+
+
+def _regular256():
+    return build_hypergraph(generate(GenConfig(
+        n_tensors=256, regularity=3.0, n_open=2, extent_min=2, extent_max=5, seed=3,
+    )))
+
+
+def test_bisect_matches_reference_at_256():
+    h = _regular256()
+    assert bisect(h) == bisect_reference(h)
+
+
+def test_fm_pass_stops_early(monkeypatch):
+    # without the locked-edge stop every pass here moves all n vertices
+    passes = []
+    fm_pass = partition._fm_pass
+
+    def counted(flat, side, sizes, lo, hi):
+        result = fm_pass(flat, side, sizes, lo, hi)
+        passes.append((result[1], len(side)))
+        return result
+
+    monkeypatch.setattr(partition, "_fm_pass", counted)
+    bisect(_regular256())
+    assert sum(moves for moves, _ in passes) < sum(n for _, n in passes)
+
+
+def test_odd_network_without_slack():
+    # imbalance 0 on an odd vertex count allows halves of n // 2 and n // 2 + 1
+    assert _balance_bounds(7, 0.0) == (3, 4)
+    net = generate(GenConfig(n_tensors=9, regularity=3.0, extent_min=2, extent_max=4, seed=1))
+    part_a, part_b, _ = bisect(build_hypergraph(net), PartitionConfig(imbalance=0.0))
+    assert sorted([len(part_a), len(part_b)]) == [4, 5]
 
 
 def test_bisect_determinism(closed6):
