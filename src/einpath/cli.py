@@ -96,6 +96,11 @@ def _run_method(network, args):
     return tree, report, 0
 
 
+def _stats_row(method, init, n_tensors, seed, report, wall, nodes):
+    """One row of _CSV_COLUMNS."""
+    return (method, init, n_tensors, seed, report.flops, report.peak_size, wall, nodes)
+
+
 def _stats_csv(rows):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -116,16 +121,7 @@ def _cmd_optimize(args):
         _write(args.dot, export_dot(tree, network))
     if args.stats:
         init = args.init if args.method in ("exhaustive-dfs", "exhaustive-bfs") else ""
-        row = (
-            args.method,
-            init,
-            len(network.tensors),
-            args.seed,
-            report.flops,
-            report.peak_size,
-            wall,
-            nodes,
-        )
+        row = _stats_row(args.method, init, len(network.tensors), args.seed, report, wall, nodes)
         _write(args.stats, _stats_csv([row]))
     return 0
 
@@ -189,25 +185,14 @@ def _cmd_bench(args):
                     begin = time.perf_counter_ns()
                     _, report, stats = exhaustive_dfs(network, cfg)
                     wall = time.perf_counter_ns() - begin
-                    rows.append(
-                        (
-                            "exhaustive-dfs",
-                            init,
-                            size,
-                            seed,
-                            report.flops,
-                            report.peak_size,
-                            wall,
-                            stats.nodes_expanded,
-                        )
-                    )
+                    rows.append(_stats_row(
+                        "exhaustive-dfs", init, size, seed, report, wall, stats.nodes_expanded
+                    ))
             else:
                 begin = time.perf_counter_ns()
                 _, report, pushes = _single_run(network, GreedyConfig(seed=seed), 0)
                 wall = time.perf_counter_ns() - begin
-                rows.append(
-                    ("greedy", "", size, seed, report.flops, report.peak_size, wall, pushes)
-                )
+                rows.append(_stats_row("greedy", "", size, seed, report, wall, pushes))
     rows.sort(key=lambda r: (r[2], r[3]))
     _write(args.output, _stats_csv(rows))
     return 0

@@ -385,6 +385,17 @@ def tree_to_ssa(tree):
     return SsaPath(tuple(pairs))
 
 
+def _keep(counts, appear):
+    """Head of a node from its per-index appearance counts (a Counter over
+    the node's leaves): an index is kept while appearances remain outside
+    the subtree. The summed indices are dropped from counts in place, so a
+    parent can add the counts of its children."""
+    head = frozenset(ix for ix, c in counts.items() if c < appear[ix])
+    for ix in counts.keys() - head:
+        del counts[ix]
+    return head
+
+
 def ssa_to_tree(path, network):
     """Rebuild the expression tree for an SSA path over a network.
 
@@ -415,9 +426,7 @@ def ssa_to_tree(path, network):
         expr_a, counts_a = alive.pop(a)
         expr_b, counts_b = alive.pop(b)
         counts = counts_a + counts_b
-        head = frozenset(ix for ix, c in counts.items() if c < appear[ix])
-        for ix in counts.keys() - head:
-            del counts[ix]
+        head = _keep(counts, appear)
         alive[next_id] = (EinExpr(head=head, args=(expr_a, expr_b)), counts)
         next_id += 1
     if len(alive) != 1:
@@ -466,7 +475,7 @@ def validate_tree(tree, network):
         counts = vals.pop()
         for _ in range(len(node.args) - 1):
             counts = counts + vals.pop()
-        head = frozenset(ix for ix, c in counts.items() if c < appear[ix])
+        head = _keep(counts, appear)
         if node.head != head:
             raise InvalidContractionError(
                 f"branch head {sorted(node.head)} should be {sorted(head)}"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from random import Random
 
 from ._util import derive_seed
-from .core import CostReport, EinExpr, SsaPath, cost, index_appearances, ssa_to_tree, tensor_size
+from .core import SsaPath, cost, index_appearances, ssa_to_tree, tensor_size
 from .errors import EinPathError
 
 __all__ = ["GreedyConfig", "greedy", "sampled_greedy"]
@@ -250,9 +250,6 @@ def greedy(network, config=None):
     (lower is better). Returns the tree and its cost.
     """
     config = config or GreedyConfig()
-    if len(network.tensors) == 1:
-        leaf = EinExpr.leaf(network.tensors[0])
-        return leaf, CostReport(0, 0, 0)
     tree, report, _ = _single_run(network, config, 0)
     return tree, report
 
@@ -272,9 +269,6 @@ def sampled_greedy(network, config=None):
     identical; that degenerate combination warns and collapses to one pass.
     """
     config = config or GreedyConfig()
-    if len(network.tensors) == 1:
-        leaf = EinExpr.leaf(network.tensors[0])
-        return leaf, CostReport(0, 0, 0)
     if config.temperature == 0 and config.samples > 1:
         warnings.warn("temperature=0 makes all greedy samples identical", stacklevel=2)
         config = GreedyConfig(temperature=0.0, samples=1, seed=config.seed)

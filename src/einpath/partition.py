@@ -333,8 +333,6 @@ def _subnetwork(network, members, carriers, out_set):
 
 
 def _leaf_pairs(network, config):
-    if len(network.tensors) == 1:
-        return []
     if config.leaf_optimizer == "greedy":
         tree, _ = greedy(network, GreedyConfig())
     else:
@@ -382,10 +380,5 @@ def partition_optimize(network, config=None):
     """
     config = config or PartitionConfig()
     pairs = _partition_pairs(network, config.seed, 0, config)
-    if not pairs:
-        from .core import EinExpr
-
-        leaf = EinExpr.leaf(network.tensors[0])
-        return leaf, cost(leaf, network.extents)
     tree = ssa_to_tree(SsaPath(pairs), network)
     return tree, cost(tree, network.extents)

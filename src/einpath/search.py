@@ -14,13 +14,22 @@ Moerkotte, ICDE 2011 / 2012). The order is fixed by the subset and the
 network, and among splits of equal value the first enumerated wins, so where
 optimal trees tie the returned tree can differ from one found under another
 enumeration order, at identical cost.
+
+Both engines run one driver (_search) and differ only in the subset solver
+it is handed. The driver seeds the bound, solves each connected component
+of the network over its tensors, and, when there are several, joins the
+component results by an outer-product search over them, the spine. With
+outer products allowed the whole network is one part and there is no
+spine. The breadth-first search refuses two inputs up front with
+BudgetError: more than 64 tensors, and more than _SPINE_CAP components,
+since its spine tabulates subsets of them.
 """
 
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import CostReport, EinExpr, SsaPath, cost, ssa_to_tree
+from .core import SsaPath, cost, ssa_to_tree
 from .errors import BudgetError, EinPathError
 from .greedy import _greedy_path
 
@@ -114,8 +123,8 @@ def _width(bits, most):
 
 
 class _Space:
-    """Bitmask view of a network: index bits, extents, carrier masks, and
-    chunked tables of index-subset sizes and of tensor-subset index unions."""
+    """Bitmask view of a network: index bits, extents, tensor index masks,
+    and chunked tables of index-subset sizes and of tensor-subset index unions."""
 
     def __init__(self, network):
         names = sorted({ix for sig in network.tensors for ix in sig.indices})
@@ -123,13 +132,10 @@ class _Space:
         self.extents = [network.extents[ix] for ix in names]
         self.max_extent = max(self.extents, default=2)
         self.term_masks = []
-        self.carriers = [0] * len(names)
-        for pos, sig in enumerate(network.tensors):
+        for sig in network.tensors:
             m = 0
             for ix in sig.indices:
-                b = self.bit[ix]
-                m |= 1 << b
-                self.carriers[b] |= 1 << pos
+                m |= 1 << self.bit[ix]
             self.term_masks.append(m)
         self.out_mask = 0
         for ix in network.output:
@@ -188,33 +194,6 @@ class _Space:
         return union & outside
 
 
-def _components(space, n):
-    """Connected components (over shared indices) as tensor bitmasks."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for leafmask in space.carriers:
-        first = None
-        m = leafmask
-        while m:
-            b = m & -m
-            pos = b.bit_length() - 1
-            if first is None:
-                first = pos
-            else:
-                parent[find(pos)] = find(first)
-            m ^= b
-    groups = defaultdict(int)
-    for pos in range(n):
-        groups[find(pos)] |= 1 << pos
-    return sorted(groups.values(), key=lambda mask: mask & -mask)
-
-
 def _price(space, pairs, metric):
     """Exact metric value of a full SSA pair list, as cost() reports it, and
     whether every pair shares an index (no outer product anywhere)."""
@@ -239,10 +218,6 @@ def _price(space, pairs, metric):
         leaves.append(leaf)
         heads.append(head)
     return value, shares
-
-
-def _metric_of(report, metric):
-    return report.flops if metric == "flops" else report.peak_size
 
 
 def _initial_bound(network, space, config):
@@ -270,30 +245,41 @@ def _initial_bound(network, space, config):
     return config.init_bound, None
 
 
-def _connected_masks(adjm, cap, budget):
-    """Every nonempty connected subset of the unit graph, as a set of index
-    masks, or None as soon as there are more than cap of them.
+def _adjacency(heads):
+    """Neighbour masks of units over shared indices, keyed by unit bit, from
+    each unit's index mask."""
+    adjm = [0] * len(heads)
+    for i, hi in enumerate(heads):
+        for j in range(i + 1, len(heads)):
+            if hi & heads[j]:
+                adjm[i] |= 1 << j
+                adjm[j] |= 1 << i
+    return {1 << i: m for i, m in enumerate(adjm)}
+
+
+def _connected_masks(adj, cap, budget):
+    """Every nonempty connected subset of the unit graph (adj maps each unit
+    bit to its neighbour mask), as a set of unit masks, or None as soon as
+    there are more than cap of them.
 
     Grows each subset from its lowest unit one frontier unit at a time; a
     frontier unit skipped at some step is banned below it, so every subset
     comes up exactly once. The budget's deadline is read as the set grows."""
-    u = len(adjm)
-    adjbit = {1 << i: adjm[i] for i in range(u)}
     out = set()
     add = out.add
     due = 0
-    for v in range(u):
+    for v in range(len(adj)):
         start = 1 << v
         above = ~(start | (start - 1))
         add(start)
-        stack = [(start, adjm[v] & above, 0)]
+        stack = [(start, adj[start] & above, 0)]
         while stack:
             cur, frontier, banned = stack.pop()
             while frontier:
                 w = frontier & -frontier
                 frontier ^= w
                 newcur = cur | w
-                newfront = (frontier | (adjbit[w] & above)) & ~newcur & ~banned
+                newfront = (frontier | (adj[w] & above)) & ~newcur & ~banned
                 banned |= w
                 if newfront:
                     stack.append((newcur, newfront, banned))
@@ -419,17 +405,10 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
     flops_metric = metric == "flops"
     size = space.size
     sp_head = space.head
-    adjm = [0] * u
-    for i in range(u):
-        hi = heads[i]
-        for j in range(i + 1, u):
-            if hi & heads[j]:
-                adjm[i] |= 1 << j
-                adjm[j] |= 1 << i
-    conn = None if allow_outer else _connected_masks(adjm, _MEMO_CAP, budget)
+    adj = _adjacency(heads)
+    conn = None if allow_outer else _connected_masks(adj, _MEMO_CAP, budget)
 
     hsizes = [size(h) for h in heads]
-    adjbit = {1 << i: adjm[i] for i in range(u)}
     meta = {}  # unit mask -> (head mask, head size, admissible floor, leafmask)
     for j in range(u):
         meta[1 << j] = (heads[j], hsizes[j], bases[j], exts[j])
@@ -486,7 +465,7 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
     def sides_of(s):
         """Split sides of s holding its lowest unit, in a fixed order."""
         if not allow_outer:
-            return _sides(s, adjbit, conn)
+            return _sides(s, adj, conn)
         v0 = s & -s
         rest = s ^ v0
         out = []
@@ -624,74 +603,6 @@ def _dfs_solve(space, items, metric, allow_outer, exclude_root_scalar, cap, stat
     return out, tmask
 
 
-def _dfs_attempt(space, n, config, cap, stats, budget):
-    """One bounded depth-first sweep; returns SSA pairs, or None when the cap
-    excludes every tree in the space."""
-    singles = [(1 << i, space.term_masks[i], 0) for i in range(n)]
-    base = {1 << i: i for i in range(n)}
-    pairs = []
-    counter = [n]
-    if config.outer_products:
-        best, target = _dfs_solve(space, singles, config.metric, True, True, cap, stats, budget)
-        if target not in best:
-            return None
-        _emit(best, target, base, pairs, counter)
-        return pairs
-    comps = _components(space, n)
-    units = []
-    for comp in comps:
-        members = [s for s in singles if s[0] & comp]
-        sub, _ = _dfs_solve(
-            space, members, config.metric, False, len(comps) == 1, cap, stats, budget
-        )
-        if comp not in sub:
-            return None
-        root = _emit(sub, comp, base, pairs, counter)
-        value, headmask, _ = sub[comp]
-        units.append(((comp, root), (comp, headmask, value)))
-    if len(units) > 1:
-        spine, target = _dfs_solve(
-            space, [un[1] for un in units], config.metric, True, True, cap, stats, budget
-        )
-        if target not in spine:
-            return None
-        roots = {comp: root for (comp, root), _ in units}
-        _emit(spine, target, roots, pairs, counter)
-    return pairs
-
-
-def exhaustive_dfs(network, config=None):
-    """Optimal contraction order by depth-first branch-and-bound.
-
-    Recursively splits tensor subsets in two, memoizing each subset's
-    optimum; splits whose admissible cost floor reaches the current bound
-    are abandoned. A sweep that proves the initial bound unbeatable falls
-    back to the tree that produced the bound, or searches again unbounded
-    when an explicit bound excluded every tree.
-    Returns (tree, cost report, search stats).
-    """
-    config = config or SearchConfig()
-    n = len(network.tensors)
-    stats = SearchStats()
-    if n == 1:
-        leaf = EinExpr.leaf(network.tensors[0])
-        stats.best_cost = 0
-        return leaf, CostReport(0, 0, 0), stats
-    budget = _Budget(config)
-    space = _Space(network)
-    bound, incumbent = _initial_bound(network, space, config)
-    pairs = _dfs_attempt(space, n, config, bound, stats, budget)
-    if pairs is None:
-        pairs = incumbent
-    if pairs is None:
-        # the bound excluded every tree in the space; search again without it
-        pairs = _dfs_attempt(space, n, config, None, stats, budget)
-    tree = ssa_to_tree(SsaPath(pairs), network)
-    report = cost(tree, network.extents)
-    stats.best_cost = _metric_of(report, config.metric)
-    return tree, report, stats
-
-
 def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, cap0, stats, budget):
     """Best tree per subset, admitting only subtrees within a cost cap.
 
@@ -769,6 +680,80 @@ def _emit(best, key, base_ssa, pairs, counter):
     return ssa
 
 
+def _parts(space, outer_products):
+    """Tensor masks the driver solves one at a time: the whole network when
+    outer products are allowed, else its connected components, lowest
+    tensor first."""
+    if outer_products:
+        return [space.all_terms]
+    return _split(space.all_terms, _adjacency(space.term_masks), None)
+
+
+def _search(network, space, config, solve):
+    """Run one exhaustive engine; solve is _dfs_solve or _capped_dp.
+
+    Each part (_parts) is solved over its tensors, then, when there are
+    several, the spine joins the part results by an outer-product search
+    over them. A sweep under the initial bound that finds no tree falls back
+    to the incumbent that produced the bound, or else sweeps again unbounded.
+    Returns (tree, cost report, search stats).
+    """
+    budget = _Budget(config)
+    stats = SearchStats()
+    bound, incumbent = _initial_bound(network, space, config)
+    parts = _parts(space, config.outer_products)
+    n = len(space.term_masks)
+    base = {1 << t: t for t in range(n)}
+
+    def sweep(cap):
+        """SSA pairs of the best tree under cap, or None when there is none."""
+        pairs = []
+        counter = [n]
+        units = []
+        roots = {}
+        for part in parts:
+            members = [(1 << t, space.term_masks[t], 0) for t in range(n) if part >> t & 1]
+            best, _ = solve(
+                space, members, config.metric, config.outer_products,
+                len(parts) == 1, cap, stats, budget,
+            )
+            if part not in best:
+                return None
+            roots[part] = _emit(best, part, base, pairs, counter)
+            value, headmask, _ = best[part]
+            units.append((part, headmask, value))
+        if len(units) > 1:
+            spine, target = solve(space, units, config.metric, True, True, cap, stats, budget)
+            if target not in spine:
+                return None
+            _emit(spine, target, roots, pairs, counter)
+        return pairs
+
+    pairs = sweep(bound)
+    if pairs is None:
+        pairs = incumbent
+    if pairs is None:
+        # the bound excluded every tree in the space; search again without it
+        pairs = sweep(None)
+    tree = ssa_to_tree(SsaPath(pairs), network)
+    report = cost(tree, network.extents)
+    stats.best_cost = getattr(report, config.metric)
+    return tree, report, stats
+
+
+def exhaustive_dfs(network, config=None):
+    """Optimal contraction order by depth-first branch-and-bound.
+
+    Recursively splits tensor subsets in two, memoizing each subset's
+    optimum; splits whose admissible cost floor reaches the current bound
+    are abandoned. A sweep that proves the initial bound unbeatable falls
+    back to the tree that produced the bound, or searches again unbounded
+    when an explicit bound excluded every tree.
+    Returns (tree, cost report, search stats).
+    """
+    return _search(network, _Space(network), config or SearchConfig(), _dfs_solve)
+
+
 def exhaustive_bfs(network, config=None):
     """Optimal contraction order by breadth-first subset search.
 
@@ -776,54 +761,17 @@ def exhaustive_bfs(network, config=None):
     cost cap, raising the cap by the largest extent until the full network
     is solved. Disconnected networks are solved per component, then the
     component results are joined by an outer-product subset search.
-    Returns (tree, cost report, search stats).
+    Raises BudgetError on more than 64 tensors or, with outer products off,
+    more than _SPINE_CAP components. Returns (tree, cost report, search stats).
     """
     config = config or SearchConfig()
-    n = len(network.tensors)
-    stats = SearchStats()
-    if n == 1:
-        leaf = EinExpr.leaf(network.tensors[0])
-        stats.best_cost = 0
-        return leaf, CostReport(0, 0, 0), stats
-    if n > 64:
+    if len(network.tensors) > 64:
         raise BudgetError("breadth-first search uses subset bitmasks capped at 64 tensors")
-    budget = _Budget(config)
     space = _Space(network)
-    bound, _ = _initial_bound(network, space, config)
-    singletons = [(1 << i, space.term_masks[i], 0) for i in range(n)]
-    pairs = []
-    counter = [n]
-    if config.outer_products:
-        best, target = _capped_dp(
-            space, singletons, config.metric, True, True, bound, stats, budget
+    k = len(_parts(space, config.outer_products))
+    if k > _SPINE_CAP:
+        raise BudgetError(
+            f"network splits into {k} components; the outer-product "
+            f"combination search is capped at {_SPINE_CAP}"
         )
-        base = {1 << i: i for i in range(n)}
-        _emit(best, target, base, pairs, counter)
-    else:
-        comps = _components(space, n)
-        if len(comps) > _SPINE_CAP:
-            raise BudgetError(
-                f"network splits into {len(comps)} components; the outer-product "
-                f"combination search is capped at {_SPINE_CAP}"
-            )
-        units = []
-        base = {1 << i: i for i in range(n)}
-        for comp in comps:
-            members = [s for s in singletons if s[0] & comp]
-            sub, _ = _capped_dp(
-                space, members, config.metric, False,
-                len(comps) == 1, bound, stats, budget,
-            )
-            root = _emit(sub, comp, base, pairs, counter)
-            value, headmask, _ = sub[comp]
-            units.append(((comp, root), (comp, headmask, value)))
-        if len(units) > 1:
-            spine, target = _capped_dp(
-                space, [u[1] for u in units], config.metric, True, True, bound, stats, budget
-            )
-            roots = {comp: root for (comp, root), _ in units}
-            _emit(spine, target, roots, pairs, counter)
-    tree = ssa_to_tree(SsaPath(pairs), network)
-    report = cost(tree, network.extents)
-    stats.best_cost = _metric_of(report, config.metric)
-    return tree, report, stats
+    return _search(network, space, config, _capped_dp)

@@ -45,6 +45,19 @@ def _pairs(k):
     return TensorNetwork(tuple(sigs), extents, ())
 
 
+def _union_of(parts, seed):
+    """Disjoint union of generated networks of the given sizes, with open
+    legs and extent-1 indices; a one-tensor part carries only open legs,
+    or none at all (a scalar)."""
+    return disjoint_union([
+        generate(GenConfig(
+            n_tensors=n, regularity=2.5 if n > 1 else 0.0, n_open=(seed + k) % 3,
+            extent_min=1, extent_max=4, seed=seed + k,
+        ))
+        for k, n in enumerate(parts)
+    ])
+
+
 def _value(report, metric):
     return report.flops if metric == "flops" else report.peak_size
 
@@ -74,10 +87,14 @@ def test_two_tensors():
 def test_single_tensor():
     net = parse_einsum("ij->ij", {"i": 2, "j": 5})
     for search in (exhaustive_dfs, exhaustive_bfs):
-        tree, report, stats = search(net, SearchConfig())
-        assert tree.is_leaf
-        assert report.flops == 0
-        assert stats.nodes_expanded == 0
+        for metric in ("flops", "peak_size"):
+            for outer in (False, True):
+                for init in ("greedy", "naive", 5):
+                    config = SearchConfig(metric=metric, init_bound=init, outer_products=outer)
+                    tree, report, stats = search(net, config)
+                    assert tree.is_leaf
+                    assert (report.flops, report.peak_size, report.write_volume) == (0, 0, 0)
+                    assert (stats.nodes_expanded, stats.best_cost) == (0, 0)
 
 
 @pytest.mark.parametrize("metric", ["flops", "peak_size"])
@@ -159,8 +176,9 @@ def test_explicit_bound(closed6):
     assert report.flops == 100
 
 
-def test_disconnected_fallback():
-    net = _pairs(3)
+def _assert_optimal(net):
+    """Both engines reach the oracle's optimum under both metrics, with
+    outer products off and on."""
     for metric in ("flops", "peak_size"):
         for outer in (False, True):
             want = best_tree_cost(net, metric, outer)
@@ -168,7 +186,21 @@ def test_disconnected_fallback():
             for search in (exhaustive_dfs, exhaustive_bfs):
                 tree, report, _ = search(net, config)
                 validate_tree(tree, net)
-                assert _value(report, metric) == want
+                assert _value(report, metric) == want, (metric, outer, search.__name__)
+
+
+def test_disconnected_fallback():
+    _assert_optimal(_pairs(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda p: sum(p) <= 8),
+       seed=st.integers(0, 10**6))
+def test_components_and_spine_match_oracle(parts, seed):
+    # each component is solved on its own and the spine joins the results;
+    # with lone tensors, scalars, open legs and extent-1 indices in the mix,
+    # both engines must still reach the optimum over the whole tree space
+    _assert_optimal(_union_of(parts, seed))
 
 
 def test_forced_outer_products_along_spine():
@@ -291,7 +323,7 @@ def test_sides_are_the_connected_splits(data, u, kind):
         and _component(c, adjm) == c and _component(s ^ c, adjm) == s ^ c
     }
     budget = search._Budget(SearchConfig())
-    for conn in (_connected_masks(adjm, 1 << u, budget), None):
+    for conn in (_connected_masks(adj, 1 << u, budget), None):
         got = _sides(s, adj, conn)
         assert len(got) == len(set(got))
         assert set(got) == want
@@ -327,13 +359,7 @@ def test_price_is_the_cost_report(parts, seed, data):
     # the bound seed prices SSA pairs on the bitmask space; it must equal
     # cost() on the rebuilt tree, for greedy's pairs, the naive chain and
     # any other full contraction, with open legs and several components
-    net = disjoint_union([
-        generate(GenConfig(
-            n_tensors=n, regularity=2.5 if n > 1 else 0.0, n_open=(seed + k) % 3,
-            extent_min=1, extent_max=4, seed=seed + k,
-        ))
-        for k, n in enumerate(parts)
-    ])
+    net = _union_of(parts, seed)
     n = len(net.tensors)
     space = search._Space(net)
     greedy_pairs, _ = search._greedy_path(net)

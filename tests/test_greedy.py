@@ -91,8 +91,9 @@ def test_matches_reference_on_random_networks(seed):
 
 def test_single_tensor():
     net = parse_einsum("ij->ji", {"i": 2, "j": 7})
-    for opt in (greedy, sampled_greedy):
-        tree, report = opt(net)
+    thermal = GreedyConfig(temperature=0.5, samples=3, seed=1)
+    for opt, config in ((greedy, None), (sampled_greedy, None), (sampled_greedy, thermal)):
+        tree, report = opt(net, config)
         assert tree.is_leaf
         assert (report.flops, report.peak_size, report.write_volume) == (0, 0, 0)
 

@@ -213,9 +213,10 @@ def test_partition_random_networks(seed):
 
 def test_partition_single_tensor():
     net = parse_einsum("ij->ij", {"i": 2, "j": 3})
-    tree, report = partition_optimize(net)
-    assert tree.is_leaf
-    assert (report.flops, report.peak_size, report.write_volume) == (0, 0, 0)
+    for config in (None, PartitionConfig(leaf_optimizer="greedy")):
+        tree, report = partition_optimize(net, config)
+        assert tree.is_leaf
+        assert (report.flops, report.peak_size, report.write_volume) == (0, 0, 0)
 
 
 def test_partition_three_tensors():
