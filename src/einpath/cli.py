@@ -12,7 +12,7 @@ from .formats import dumps_network, dumps_path, export_dot, loads_network, loads
 from .generate import GenConfig, generate
 from .greedy import GreedyConfig, _single_run, sampled_greedy
 from .partition import PartitionConfig, partition_optimize
-from .search import SearchConfig, exhaustive_bfs, exhaustive_dfs
+from .search import SearchConfig, exhaustive_dfs
 
 __all__ = ["cli_main", "main"]
 
@@ -82,8 +82,7 @@ def _run_method(network, args):
             max_nodes=args.max_nodes,
             deadline=args.deadline,
         )
-        run = exhaustive_dfs if method == "exhaustive-dfs" else exhaustive_bfs
-        tree, report, stats = run(network, cfg)
+        tree, report, stats = exhaustive_dfs(network, cfg)  # both methods name one search
         return tree, report, stats.nodes_expanded
     cfg = PartitionConfig(
         imbalance=args.imbalance,

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from einpath import cost, loads_network, loads_path, ssa_to_tree
+from einpath import (
+    TensorNetwork, TensorSig, cost, dumps_network, loads_network, loads_path, ssa_to_tree,
+)
 from einpath.cli import cli_main
 
 
@@ -75,12 +77,14 @@ def test_malformed_network_exit_code(tmp_path, capsys):
 
 
 def test_budget_exit_code(tmp_path, capsys):
+    # 14 closed two-tensor components: one more than the spine takes
     big = tmp_path / "big.json"
-    assert cli_main(["gen", "--tensors", "65", "--regularity", "2.0",
-                     "--seed", "1", "--output", str(big)]) == 0
-    assert cli_main(["optimize", "--input", str(big), "--method", "exhaustive-bfs",
-                     "--output", str(tmp_path / "p.json")]) == 3
-    assert "budget exceeded" in capsys.readouterr().err
+    sigs = tuple(TensorSig(t, (f"b{t // 2}",)) for t in range(28))
+    big.write_text(dumps_network(TensorNetwork(sigs, {f"b{i}": 2 for i in range(14)}, ())))
+    for method in ("exhaustive-dfs", "exhaustive-bfs"):
+        assert cli_main(["optimize", "--input", str(big), "--method", method,
+                         "--output", str(tmp_path / "p.json")]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["exhaustive-dfs", "exhaustive-bfs"])

@@ -21,7 +21,7 @@ from einpath import (
     validate_tree,
 )
 from einpath import search
-from einpath.search import _connected_masks, _sides, exhaustive_bfs, exhaustive_dfs
+from einpath.search import exhaustive_bfs, exhaustive_dfs
 from oracles import best_tree_cost, min_cost_sequences
 
 
@@ -34,15 +34,19 @@ def _chain(n, extent=2):
     return TensorNetwork(tuple(sigs), {f"a{i}": extent for i in range(n - 1)}, ())
 
 
-def _pairs(k):
-    """k closed two-tensor components: (b0 b0), (b1 b1), ..."""
+def _pairs(k, open_legs=False):
+    """k two-tensor components: (b0 b0), (b1 b1), ..., closed, or with an
+    open leg oi of extent 2 on the first tensor of each."""
     sigs = []
     extents = {}
     for i in range(k):
-        sigs.append(TensorSig(2 * i, (f"b{i}",)))
+        sigs.append(TensorSig(2 * i, (f"b{i}", f"o{i}") if open_legs else (f"b{i}",)))
         sigs.append(TensorSig(2 * i + 1, (f"b{i}",)))
         extents[f"b{i}"] = 2 + i % 3
-    return TensorNetwork(tuple(sigs), extents, ())
+        if open_legs:
+            extents[f"o{i}"] = 2
+    output = tuple(f"o{i}" for i in range(k)) if open_legs else ()
+    return TensorNetwork(tuple(sigs), extents, output)
 
 
 def _union_of(parts, seed):
@@ -164,12 +168,13 @@ def test_outer_product_monotonicity():
 
 
 def test_explicit_bound(closed6):
-    # above the optimum: the bounded sweep finds it directly
-    _, report, _ = exhaustive_dfs(closed6, SearchConfig(init_bound=101))
-    assert report.flops == 100
-    # at or below the optimum nothing survives the sweep and the search
-    # reruns unbounded rather than failing
-    for bound in (100, 1):
+    # at or above the optimum: the cap never passes the bound
+    for bound in (101, 100):
+        _, report, _ = exhaustive_dfs(closed6, SearchConfig(init_bound=bound))
+        assert report.flops == 100
+    # below the optimum no pass at the bound forms the network, so the cap
+    # rises past it rather than failing
+    for bound in (99, 1):
         _, report, _ = exhaustive_dfs(closed6, SearchConfig(init_bound=bound))
         assert report.flops == 100
     _, report, _ = exhaustive_bfs(closed6, SearchConfig(init_bound=1))
@@ -224,13 +229,12 @@ def test_dfs_handles_long_chains():
 
 
 def test_bfs_budget_limits():
-    with pytest.raises(BudgetError):
-        exhaustive_bfs(_chain(65), SearchConfig())
-    with pytest.raises(BudgetError):  # too many components to spine together
-        exhaustive_bfs(_pairs(14), SearchConfig())
-    # dfs has no tensor-count gate
-    tree, _, _ = exhaustive_dfs(_chain(65), SearchConfig())
-    validate_tree(tree, _chain(65))
+    for engine in (exhaustive_dfs, exhaustive_bfs):
+        with pytest.raises(BudgetError):  # too many components to spine together
+            engine(_pairs(14), SearchConfig())
+        # subset masks are Python ints: no tensor-count gate
+        tree, _, _ = engine(_chain(65), SearchConfig())
+        validate_tree(tree, _chain(65))
 
 
 def test_search_config_validation():
@@ -266,68 +270,6 @@ def test_dfs_never_beaten_by_greedy(n, seed):
     _, report, _ = exhaustive_dfs(net, SearchConfig())
     _, greedy_report = greedy(net)
     assert report.flops <= greedy_report.flops
-
-
-def _unit_graph(u, kind, extra):
-    """Neighbour masks of u units: a path, star, cycle or complete graph
-    (every unit sharing a batch index), plus the extra (i, j) edges."""
-    edges = set(extra)
-    if kind == "path":
-        edges |= {(i, i + 1) for i in range(u - 1)}
-    elif kind == "star":
-        edges |= {(0, i) for i in range(1, u)}
-    elif kind == "cycle":
-        edges |= {(i, (i + 1) % u) for i in range(u)}
-    elif kind == "complete":
-        edges |= {(i, j) for i in range(u) for j in range(i + 1, u)}
-    adjm = [0] * u
-    for i, j in edges:
-        if i != j:
-            adjm[i] |= 1 << j
-            adjm[j] |= 1 << i
-    return adjm
-
-
-def _component(mask, adjm):
-    """The units of mask reachable inside it from its lowest unit."""
-    seen = mask & -mask
-    front = seen
-    while front:
-        grow = 0
-        for i in range(len(adjm)):
-            if front >> i & 1:
-                grow |= adjm[i]
-        front = grow & mask & ~seen
-        seen |= front
-    return seen
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), u=st.integers(1, 10),
-       kind=st.sampled_from(["random", "path", "star", "cycle", "complete"]))
-def test_sides_are_the_connected_splits(data, u, kind):
-    pair = st.tuples(st.integers(0, u - 1), st.integers(0, u - 1))
-    extra = data.draw(st.lists(pair, max_size=2 * u if kind == "random" else 2))
-    adjm = _unit_graph(u, kind, extra)
-    adj = {1 << i: adjm[i] for i in range(u)}
-    # a connected unit set: all units but a drawn few, cut to one component
-    dropped = data.draw(st.lists(st.integers(0, u - 1), max_size=2))
-    s = (1 << u) - 1
-    for i in dropped:
-        s &= ~(1 << i)
-    s = _component(s or 1, adjm)
-    low = s & -s
-    want = {
-        c for c in range(1, 1 << u)
-        if c & s == c and c & low and c != s
-        and _component(c, adjm) == c and _component(s ^ c, adjm) == s ^ c
-    }
-    budget = search._Budget(SearchConfig())
-    for conn in (_connected_masks(adj, 1 << u, budget), None):
-        got = _sides(s, adj, conn)
-        assert len(got) == len(set(got))
-        assert set(got) == want
-        assert _sides(s, adj, conn) == got  # a fixed order
 
 
 @settings(max_examples=50, deadline=None)
@@ -374,26 +316,8 @@ def test_price_is_the_cost_report(parts, seed, data):
     for pairs in (greedy_pairs, chain, drawn):
         tree = ssa_to_tree(SsaPath(pairs), net)
         report = cost(tree, net.extents)
-        shares = all(x.head & y.head for x, y in (node.args for node in tree.branches()))
-        assert search._price(space, pairs, "flops") == (report.flops, shares)
-        assert search._price(space, pairs, "peak_size") == (report.peak_size, shares)
-
-
-@pytest.mark.parametrize("metric", ["flops", "peak_size"])
-def test_untabulated_connectivity(metric, monkeypatch):
-    # past the memo cap, complements are checked by splitting them into
-    # components instead of by table lookup; the optima must not change
-    monkeypatch.setattr(search, "_MEMO_CAP", 0)
-    for n in (10, 11, 12):
-        for seed in range(2):
-            net = generate(GenConfig(
-                n_tensors=n, extent_max=5, n_open=seed, seed=100 * n + seed,
-            ))
-            config = SearchConfig(metric=metric)
-            tree, report, _ = exhaustive_dfs(net, config)
-            validate_tree(tree, net)
-            _, want, _ = exhaustive_bfs(net, config)
-            assert _value(report, metric) == _value(want, metric), (n, seed)
+        assert search._price(space, pairs, "flops") == report.flops
+        assert search._price(space, pairs, "peak_size") == report.peak_size
 
 
 @pytest.mark.parametrize("engine", [exhaustive_dfs, exhaustive_bfs])
@@ -405,14 +329,15 @@ def test_node_budget(engine):
     tree2, report2, stats2 = engine(net, exact)
     assert tree_to_ssa(tree2) == tree_to_ssa(tree)
     assert (report2, stats2) == (report, stats)
-    # one node fewer, or naive seeding that needs more nodes, is not
+    # one node fewer is not
     with pytest.raises(BudgetError, match="nodes"):
         engine(net, SearchConfig(max_nodes=stats.nodes_expanded - 1))
-    if engine is exhaustive_dfs:
-        _, _, naive = engine(net, SearchConfig(init_bound="naive"))
-        assert naive.nodes_expanded > stats.nodes_expanded
-        with pytest.raises(BudgetError):
-            engine(net, SearchConfig(init_bound="naive", max_nodes=stats.nodes_expanded))
+    # naive seeding needs at least as many nodes, and one fewer than it needs
+    # is not enough for it either
+    _, _, naive = engine(net, SearchConfig(init_bound="naive"))
+    assert naive.nodes_expanded >= stats.nodes_expanded
+    with pytest.raises(BudgetError, match="nodes"):
+        engine(net, SearchConfig(init_bound="naive", max_nodes=naive.nodes_expanded - 1))
 
 
 @pytest.mark.parametrize("engine", [exhaustive_dfs, exhaustive_bfs])
@@ -420,15 +345,110 @@ def test_deadline(engine):
     net = generate(GenConfig(n_tensors=12, extent_max=5, seed=3))
     with pytest.raises(BudgetError, match="deadline"):
         engine(net, SearchConfig(deadline=1e-9))
-    if engine is exhaustive_dfs:
-        # the deadline also holds while the connectivity table is built,
-        # which at n = 28 takes seconds before the first split
-        big = generate(GenConfig(n_tensors=28, extent_max=5, seed=1))
-        begin = time.perf_counter()
-        with pytest.raises(BudgetError, match="deadline"):
-            engine(big, SearchConfig(deadline=0.05))
-        assert time.perf_counter() - begin < 1.0
+    # the deadline also holds while a level scan skips pairs that overlap or
+    # share no index, which at n = 28 is most of the scan
+    big = generate(GenConfig(n_tensors=28, extent_max=5, seed=1))
+    begin = time.perf_counter()
+    with pytest.raises(BudgetError, match="deadline"):
+        engine(big, SearchConfig(deadline=0.05))
+    assert time.perf_counter() - begin < 1.0
     tree, report, stats = engine(net, SearchConfig())
     tree2, report2, stats2 = engine(net, SearchConfig(deadline=3600))
     assert tree_to_ssa(tree2) == tree_to_ssa(tree)
     assert (report2, stats2) == (report, stats)
+
+
+def _solve_units(net, cap=1, deadline=5):
+    """Run the subset DP directly on the tensors of net as units, with outer
+    products off, from a cap of cap clipped at cap."""
+    space = search._Space(net)
+    items = [(1 << t, m, 0) for t, m in enumerate(space.term_masks)]
+    stats = search.SearchStats()
+    budget = search._Budget(SearchConfig(deadline=deadline))
+    best, target = search._capped_dp(space, items, "flops", False, True, cap, cap, stats, budget)
+    return best, target, stats
+
+
+def test_unformable_target_stops_raising():
+    # two units that share no index: no pair is ever examined, so a higher
+    # cap can change nothing and the first pass is the last
+    best, target, stats = _solve_units(parse_einsum("i,j->ij", {"i": 2, "j": 3}))
+    assert target == 3 and target not in best
+    assert (stats.nodes_expanded, stats.prunes) == (0, 0)
+    # a sharing pair rejected at cap 1 is admitted at cap 8; then the last
+    # pass rejects nothing, so raising stops after exactly two passes
+    best, target, stats = _solve_units(parse_einsum("i,i,j->j", {"i": 8, "j": 3}))
+    assert target == 7 and target not in best and 3 in best
+    assert (stats.nodes_expanded, stats.prunes) == (2, 1)
+
+
+def test_deadline_holds_in_uncounted_scans():
+    # a star: any two subsets holding the centre overlap, so pairing them
+    # counts no node; with every subset admitted in one pass, the scans of
+    # the larger levels run for seconds without a node between them
+    k = 14
+    sigs = [TensorSig(0, tuple(f"i{j}" for j in range(k)))]
+    sigs += [TensorSig(j + 1, (f"i{j}",)) for j in range(k)]
+    star = TensorNetwork(tuple(sigs), {f"i{j}": 2 for j in range(k)}, ())
+    begin = time.perf_counter()
+    with pytest.raises(BudgetError, match="deadline"):
+        _solve_units(star, cap=1 << 40, deadline=0.6)
+    assert time.perf_counter() - begin < 1.6
+
+
+def test_cap_schedule():
+    # the last pass is clipped at the bound, so a loose bound costs nodes
+    net = generate(GenConfig(n_tensors=12, extent_max=5, seed=3))
+    for metric in ("flops", "peak_size"):
+        def nodes(init):
+            return exhaustive_dfs(net, SearchConfig(metric=metric, init_bound=init))[2]
+        best = nodes("greedy").best_cost
+        assert nodes(best).nodes_expanded < nodes(1000 * best).nodes_expanded
+    # k open two-tensor components: each is formed by one node in one pass at
+    # its floor, and the spine makes one pass at the bound, under which every
+    # subset of the k results fits here, so it examines each of the
+    # (3**k - 2**(k + 1) + 1) / 2 pairs of disjoint nonempty subsets once
+    for k in (4, 8):
+        for metric in ("flops", "peak_size"):
+            _, _, stats = exhaustive_bfs(_pairs(k, open_legs=True), SearchConfig(metric=metric))
+            assert stats.nodes_expanded == k + (3**k - 2**(k + 1) + 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), n_open=st.integers(0, 2), seed=st.integers(0, 10**6),
+       metric=st.sampled_from(["flops", "peak_size"]))
+def test_floor_is_admissible(n, n_open, seed, metric):
+    # the first pass must not start above the optimum of any tree, with or
+    # without outer products; a scalar root's size of 1 counts for peak
+    net = generate(GenConfig(n_tensors=n, n_open=n_open, extent_max=5, seed=seed))
+    space = search._Space(net)
+    items = [(1 << t, m, 0) for t, m in enumerate(space.term_masks)]
+    assert search._floor(space, items, metric) <= max(1, best_tree_cost(net, metric, True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 10), n_open=st.integers(0, 2), seed=st.integers(0, 10**6),
+       metric=st.sampled_from(["flops", "peak_size"]), outer=st.booleans(),
+       data=st.data())
+def test_tighter_bound_never_expands_more(n, n_open, seed, metric, outer, data):
+    # the argument in search.py: greedy seeding expands no more nodes than
+    # naive seeding, and of two explicit bounds at or above the optimum the
+    # smaller expands no more nodes, always with the same optimum
+    net = generate(GenConfig(n_tensors=n, n_open=n_open, extent_max=5, seed=seed))
+
+    def run(init):
+        _, report, stats = exhaustive_dfs(
+            net, SearchConfig(metric=metric, init_bound=init, outer_products=outer)
+        )
+        return _value(report, metric), stats.nodes_expanded
+
+    best, greedy_nodes = run("greedy")
+    naive_value, naive_nodes = run("naive")
+    assert naive_value == best
+    assert greedy_nodes <= naive_nodes
+    low = max(1, best + data.draw(st.integers(0, 3 * best)))
+    high = low + data.draw(st.integers(0, 3 * low))
+    low_value, low_nodes = run(low)
+    high_value, high_nodes = run(high)
+    assert low_value == high_value == best
+    assert low_nodes <= high_nodes

@@ -81,17 +81,17 @@ _OPTIMIZERS.update({
 })
 
 GOLDEN = {
-    "exhaustive_dfs/flops/sharing": "a92dead62c9ac71b671eac9775592a9b0d02ef649e1d1854d2965204524fc0ae",
-    "exhaustive_dfs/flops/outer": "12e364913e49baf31c22a6f10b63994d842050cd28228d9e54032b491acc4dd1",
-    "exhaustive_dfs/peak_size/sharing": "2febc2142e7e6cee5880a40c8bab76db625e5c0fe7884ba0baf0faa8fc773da0",
-    "exhaustive_dfs/peak_size/outer": "4ae40be9c4e924b4a404d799056784994a2d7bf58a894567024aadc4dc559d4b",
+    "exhaustive_dfs/flops/sharing": "a8dcf9088bfa7f5fa685445c51550309208ef96415c67c5473a8c0ef82b80c22",
+    "exhaustive_dfs/flops/outer": "cb6e8313bae94312cf9f1bfd27d8cb0cea7cba7d96a8c802e4b5f83b4a369b93",
+    "exhaustive_dfs/peak_size/sharing": "94ec07e60a9dfd63abfd00cff30956ae4e9a42d1464f1f7660f1afb3f9f76d5d",
+    "exhaustive_dfs/peak_size/outer": "6fca7b82ce9aafd6c196d943f44179111ed5d67df7683912b2cd2e5e464722b5",
     "exhaustive_bfs/flops/sharing": "c8866ab160aa5841c65b9e77c43c184ae92cb0c5d90afbb20189552cddd86b70",
     "exhaustive_bfs/flops/outer": "070681ab37dff2b82367374a1a56d914c96cfcdc7b7e999a20123159625bea69",
-    "exhaustive_bfs/peak_size/sharing": "5e467f2adf11d6a53ce733c34ee858106dababace7a2d5510ef3d24a8b18a03f",
-    "exhaustive_bfs/peak_size/outer": "b76662d75260b30130733178196ef93e36837660d678720c2f14a160000584be",
+    "exhaustive_bfs/peak_size/sharing": "0668f03a1fb1c325b8f61dbd7ac243dc9be6642d9fb03738db160f9145ed4395",
+    "exhaustive_bfs/peak_size/outer": "d10714e6d08058ca4b711da81d446b61d1cb060cf10d7b8cf1d5f73b42761e09",
     "greedy": "9fc3cb3aa6129c92c35bdf78de25449deeba4cadb7723e3edc42d2a618f1ce33",
     "sampled_greedy/thermal": "3f8264c9f750d091eb126953cd072999c4a5cc8ee233562c5964657f61fd6f3b",
-    "partition/exhaustive_dfs": "bceac2a20a116ad8374bb2dbc80a92ad7b335ee9abdc5c7bdad70c52b19d0abf",
+    "partition/exhaustive_dfs": "c6f569677ef0b5e6428d0d23f67bd4f1e0cb66cecc9b5753881d29372bd776de",
     "partition/greedy": "5d803df5e801541154075a2a43b97bca600c1676d3030c3a6c06b505fe7bd64b",
 }
 
@@ -113,3 +113,14 @@ def show():
 @pytest.mark.parametrize("name", sorted(_OPTIMIZERS))
 def test_golden_path_digest(name):
     assert _digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("metric", ["flops", "peak_size"])
+@pytest.mark.parametrize("outer", [False, True])
+def test_both_search_names_agree(metric, outer):
+    # exhaustive_dfs and exhaustive_bfs name one engine: same path, same cost
+    dfs = _search(exhaustive_dfs, metric, outer)
+    bfs = _search(exhaustive_bfs, metric, outer)
+    for net in _corpus():
+        (tree, report), (tree2, report2) = dfs(net), bfs(net)
+        assert (tree_to_ssa(tree), report) == (tree_to_ssa(tree2), report2)
