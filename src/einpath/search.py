@@ -291,13 +291,14 @@ def _floor(space, items, metric):
 # min(F * f**i, B) for i = 0, 1, ... up to the first i with F * f**i at or
 # above the part's optimum; the floor F and the factor f do not depend on B,
 # so neither does the number of passes, and each cap rises with B. The spine
-# solves in one pass at B. No pass before the last forms the target, and the
-# last does, so the stop rule never fires. So nodes_expanded, the sum of N
-# over the passes, never falls as B rises from the optimum. A greedy seed is the smaller of
-# the greedy and naive values: either it equals the naive seed, or both are
-# at or above the optimum, since greedy contracts sharing pairs while any
-# exist and its tree lies in the search space. Either way a greedy-seeded
-# search expands no more nodes than a naive-seeded one.
+# solves in one pass at B. A pass below the optimum rejects the lowest merge
+# of an optimal tree above its cap, so the stop rule never fires. So
+# nodes_expanded, the sum of N over the passes, never falls as B rises from
+# the optimum. A greedy seed is the smaller of the greedy and naive values:
+# either it equals the naive seed, or both are at or above the optimum,
+# since greedy contracts sharing pairs while any exist and its tree lies in
+# the search space. Either way a greedy-seeded search expands no more nodes
+# than a naive-seeded one.
 
 
 def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bound,
@@ -447,11 +448,9 @@ def _search(network, config):
 
 
 def exhaustive_dfs(network, config=None):
-    """Optimal contraction order; the same search as exhaustive_bfs.
-
-    The name is kept from the depth-first branch-and-bound this search
-    replaced. Returns (tree, cost report, search stats).
-    """
+    """Optimal contraction order: another name for exhaustive_bfs, kept for
+    callers of the depth-first name. Returns (tree, cost report, search
+    stats)."""
     return _search(network, config)
 
 
