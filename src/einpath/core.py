@@ -385,29 +385,38 @@ def tree_to_ssa(tree):
     return SsaPath(tuple(pairs))
 
 
-def _keep(counts, appear):
-    """Head of a node from its per-index appearance counts (a Counter over
-    the node's leaves): an index is kept while appearances remain outside
-    the subtree. The summed indices are dropped from counts in place, so a
-    parent can add the counts of its children."""
-    head = frozenset(ix for ix, c in counts.items() if c < appear[ix])
-    for ix in counts.keys() - head:
-        del counts[ix]
-    return head
+def _absorb(parts, appear):
+    """Per-index appearance counts of a node from its children's: the
+    smaller dicts are added into the largest in place, and an index is
+    dropped once its count reaches its appearances, so the dict's keys are
+    the node's head. Only the smaller dicts' indices can reach it: every
+    count a child keeps is below its appearances."""
+    counts = max(parts, key=len)
+    others = [part for part in parts if part is not counts]
+    for part in others:
+        for ix, c in part.items():
+            counts[ix] = counts.get(ix, 0) + c
+    for part in others:
+        for ix in part:
+            if counts.get(ix, 0) >= appear[ix]:
+                del counts[ix]
+    return counts
 
 
 def ssa_to_tree(path, network):
     """Rebuild the expression tree for an SSA path over a network.
 
     Heads are recomputed from scratch with the appearance counts, so the
-    result is valid by construction. The path must be a full contraction:
-    n-1 pairs, every id consumed exactly once.
+    result is valid by construction: each node merges the smaller child's
+    count dict into the larger one's and drops the indices whose count
+    reaches their appearances. The path must be a full contraction: n-1
+    pairs, every id consumed exactly once.
     """
     n = len(network.tensors)
     appear = index_appearances(network)
     alive = {}
     for sig in network.tensors:
-        alive[sig.id] = (EinExpr.leaf(sig), Counter(sig.indices))
+        alive[sig.id] = (EinExpr.leaf(sig), dict.fromkeys(sig.indices, 1))
     next_id = n
     for step, pair in enumerate(path):
         try:
@@ -425,9 +434,8 @@ def ssa_to_tree(path, network):
             raise MalformedPathError(f"pair {step} reuses consumed id {b}")
         expr_a, counts_a = alive.pop(a)
         expr_b, counts_b = alive.pop(b)
-        counts = counts_a + counts_b
-        head = _keep(counts, appear)
-        alive[next_id] = (EinExpr(head=head, args=(expr_a, expr_b)), counts)
+        counts = _absorb((counts_a, counts_b), appear)
+        alive[next_id] = (EinExpr(head=frozenset(counts), args=(expr_a, expr_b)), counts)
         next_id += 1
     if len(alive) != 1:
         raise MalformedPathError(
@@ -464,7 +472,7 @@ def validate_tree(tree, network):
                     f"leaf {node.leaf_id} head {sorted(node.head)} does not match "
                     f"tensor indices {sorted(sig.indices)}"
                 )
-            vals.append(Counter(sig.indices))
+            vals.append(dict.fromkeys(sig.indices, 1))
             continue
         if not done:
             if len(node.args) < 2:
@@ -472,10 +480,8 @@ def validate_tree(tree, network):
             stack.append((node, True))
             stack.extend((a, False) for a in reversed(node.args))
             continue
-        counts = vals.pop()
-        for _ in range(len(node.args) - 1):
-            counts = counts + vals.pop()
-        head = _keep(counts, appear)
+        counts = _absorb([vals.pop() for _ in node.args], appear)
+        head = frozenset(counts)
         if node.head != head:
             raise InvalidContractionError(
                 f"branch head {sorted(node.head)} should be {sorted(head)}"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from random import Random
 
 from ._util import derive_seed
-from .core import SsaPath, cost, index_appearances, ssa_to_tree, tensor_size
+from .core import CostReport, SsaPath, index_appearances, ssa_to_tree, tensor_size
 from .errors import EinPathError
 
 __all__ = ["GreedyConfig", "greedy", "sampled_greedy"]
@@ -49,40 +49,43 @@ def _pop_best(heap, legs, extra):
     return extra
 
 
-def _thermal_pop(heap, legs, temperature, rng, extra):
-    """Boltzmann-sample one of the best live candidates, pushing back the rest.
+def _thermal_pop(heap, pool, legs, temperature, rng, extra):
+    """Boltzmann-sample one of the best live candidates.
 
-    `extra`, a candidate that is not on the heap, joins the pool unless the
-    pool already holds its pair; it is never pushed onto the heap.
+    pool, kept by the caller between steps, holds the best live heap entries
+    in sorted order, at most BOLTZMANN_POOL of them. Each call drops its dead
+    entries, then refills it from the heap while it is short or the heap top
+    beats its worst entry, sending the overflow back to the heap, so it
+    holds the same entries as popping the heap's best live ones afresh
+    (heap entries are unique). `extra`, a candidate that is not on the heap,
+    joins the draw unless the pool already holds its pair; it never enters
+    the pool. The chosen entry leaves the pool.
     """
-    pool = []
-    while heap and len(pool) < BOLTZMANN_POOL:
+    pool[:] = [entry for entry in pool if entry[1] in legs and entry[2] in legs]
+    while heap and (len(pool) < BOLTZMANN_POOL or heap[0] < pool[-1]):
         entry = heapq.heappop(heap)
         if entry[1] in legs and entry[2] in legs:
-            pool.append(entry)
+            bisect.insort(pool, entry)
+            if len(pool) > BOLTZMANN_POOL:
+                heapq.heappush(heap, pool.pop())
+    cands = pool
     if extra is not None and all(entry[1:] != extra[1:] for entry in pool):
-        bisect.insort(pool, extra)
-    if not pool:
+        cands = pool.copy()
+        bisect.insort(cands, extra)
+    if not cands:
         return None
-    if len(pool) == 1:
-        return pool[0]
-    base = pool[0][0]
-    weights = []
-    for entry in pool:
-        d = entry[0] - base
-        weights.append(math.exp(-d / temperature) if d <= 700 * temperature else 0.0)
-    r = rng.random() * sum(weights)
     chosen = 0
-    acc = 0.0
-    for k, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            chosen = k
-            break
-    entry = pool.pop(chosen)
-    for other in pool:
-        if other is not extra:
-            heapq.heappush(heap, other)
+    if len(cands) > 1:
+        base = cands[0][0]
+        cap = 700 * temperature
+        weights = [math.exp((base - s) / temperature) if s - base <= cap else 0.0
+                   for s, _, _ in cands]
+        r = rng.random() * sum(weights)
+        # the first entry whose running weight passes r, else the best
+        chosen = bisect.bisect_right(list(itertools.accumulate(weights)), r) % len(cands)
+    entry = cands[chosen]
+    if entry is not extra:
+        pool.remove(entry)
     return entry
 
 
@@ -99,7 +102,7 @@ def _two_smallest(by_size, legs):
 
 
 def _greedy_path(network, temperature=0.0, rng=None):
-    """Run one greedy pass; returns (ssa pairs, heap pushes).
+    """Run one greedy pass; returns (ssa pairs, heap pushes, cost report).
 
     Terms carry per-index appearance counts so hyperedges survive until
     their last two carriers meet. Candidate pairs live in a heap keyed by
@@ -121,6 +124,15 @@ def _greedy_path(network, temperature=0.0, rng=None):
     with the heap top each step; if it shares an index outside F as well,
     the heap already holds it, so the choice is the same as scoring every
     pair. With temperature > 0 it joins the Boltzmann pool.
+
+    A new term is scored against all its neighbours in one walk over the
+    carriers of its kept indices, one divisor per neighbour, the walk that
+    also swaps it into the carrier sets; score() serves only the initial
+    pairs and the lazy pair.
+    The pass prices itself as it merges, as cost() would price the rebuilt
+    tree: flops sums the sizes of the merged operands' index unions, write
+    volume the kept sizes, and the peak is the largest kept size, a scalar
+    root not counted.
     """
     appear = index_appearances(network)
     extents = network.extents
@@ -138,18 +150,6 @@ def _greedy_path(network, temperature=0.0, rng=None):
     by_size = sorted((s, t) for t, s in sizes.items())
     low = low2 = 0  # the two lowest live ids: new ids are higher, so neither falls
 
-    def merge(i, j):
-        counts = dict(legs[i])
-        for ix, c in legs[j].items():
-            counts[ix] = counts.get(ix, 0) + c
-        kept = {}
-        size = 1
-        for ix, c in counts.items():
-            if c < appear[ix]:
-                kept[ix] = c
-                size *= extents[ix]
-        return kept, size
-
     def score(i, j):
         # the merged size, from the product of both sizes: a shared index
         # counted twice divides out once if kept, twice if summed here
@@ -165,12 +165,6 @@ def _greedy_path(network, temperature=0.0, rng=None):
         return size - sizes[i] - sizes[j]
 
     heap = []
-    pushes = 0
-
-    def push(i, j):
-        nonlocal pushes
-        heapq.heappush(heap, (score(i, j), i, j))
-        pushes += 1
 
     def lazy_pair():
         nonlocal low, low2
@@ -190,14 +184,17 @@ def _greedy_path(network, temperature=0.0, rng=None):
         for i, j in itertools.combinations(sorted(carriers[ix]), 2):
             if (i, j) not in seen:
                 seen.add((i, j))
-                push(i, j)
+                heapq.heappush(heap, (score(i, j), i, j))
+    pushes = len(seen)
 
     pairs = []
+    pool = []
+    flops = peak = write = 0
     next_id = n
     while len(legs) > 1:
         lazy = lazy_pair() if carried else None
         if temperature > 0:
-            entry = _thermal_pop(heap, legs, temperature, rng, lazy)
+            entry = _thermal_pop(heap, pool, legs, temperature, rng, lazy)
         else:
             entry = _pop_best(heap, legs, lazy)
         if entry is None:
@@ -207,40 +204,68 @@ def _greedy_path(network, temperature=0.0, rng=None):
                 i, j = j, i
         else:
             _, i, j = entry
-        kept, size = merge(i, j)
+        # merge the smaller leg dict into the larger one; a summed index
+        # has no carrier left
+        kept, other = legs.pop(i), legs.pop(j)
+        if len(kept) < len(other):
+            kept, other = other, kept
+        union = size = sizes.pop(i) * sizes.pop(j)
+        for ix, c in other.items():
+            d = kept.get(ix)
+            if d is None:
+                kept[ix] = c
+                continue
+            e = extents[ix]
+            union //= e
+            if c + d == appear[ix]:
+                size //= e * e
+                del kept[ix]
+                del carriers[ix]
+            else:
+                size //= e
+                kept[ix] = c + d
+        flops += union
+        write += size
+        if kept or legs:
+            peak = max(peak, size)  # a scalar root is no intermediate
         k = next_id
         next_id += 1
-        for t in (i, j):
-            for ix in legs[t]:
-                group = carriers[ix]
-                group.discard(t)
-                if not group:
-                    del carriers[ix]
-            del legs[t]
-            del sizes[t]
         legs[k] = kept
         sizes[k] = size
-        neighbours = set()
-        for ix in kept:
-            # an output index can outlive every other carrier
-            carriers.setdefault(ix, set()).add(k)
+        # k replaces i and j among the carriers, and is scored against every
+        # term sharing an index outside F: the merged size divides the
+        # product of both sizes by each shared index's extent once if kept,
+        # twice if summed; F divides it by P
+        div = {}
+        for ix, c in kept.items():
+            group = carriers[ix]
+            group.discard(i)
+            group.discard(j)
             if ix not in carried:
-                neighbours |= carriers[ix]
-        neighbours.discard(k)
-        for b in sorted(neighbours):
-            push(b, k)
+                e = extents[ix]
+                rest = appear[ix] - c
+                for b in group:
+                    div[b] = div.get(b, unit) * (e * e if legs[b][ix] == rest else e)
+            group.add(k)
+        for b in sorted(div):
+            heapq.heappush(heap, (sizes[b] * size // div[b] - sizes[b] - size, b, k))
+        pushes += len(div)
         heapq.heappush(by_size, (size, k))
         pairs.append((i, j))
-    return pairs, pushes
+    return pairs, pushes, CostReport(flops=flops, peak_size=peak, write_volume=write)
+
+
+def _rng(config, sample):
+    """A thermal pass's generator, seeded by (seed, sample); None at T = 0."""
+    if config.temperature > 0:
+        return Random(derive_seed(config.seed, sample))
+    return None
 
 
 def _single_run(network, config, sample):
-    rng = None
-    if config.temperature > 0:
-        rng = Random(derive_seed(config.seed, sample))
-    pairs, pushes = _greedy_path(network, temperature=config.temperature, rng=rng)
-    tree = ssa_to_tree(SsaPath(pairs), network)
-    return tree, cost(tree, network.extents), pushes
+    """One greedy pass rebuilt as a tree: returns (tree, report, pushes)."""
+    pairs, pushes, report = _greedy_path(network, config.temperature, _rng(config, sample))
+    return ssa_to_tree(SsaPath(pairs), network), report, pushes
 
 
 def greedy(network, config=None):
@@ -255,25 +280,27 @@ def greedy(network, config=None):
 
 
 def _sample_runs(network, config):
-    """Yield (sample, tree, report) for each sampled greedy pass."""
+    """Yield (sample, ssa pairs, report) for each sampled greedy pass."""
     for sample in range(config.samples):
-        tree, report, _ = _single_run(network, config, sample)
-        yield sample, tree, report
+        pairs, _, report = _greedy_path(network, config.temperature, _rng(config, sample))
+        yield sample, pairs, report
 
 
 def sampled_greedy(network, config=None):
     """Repeat thermal greedy passes and keep the minimum-flops tree.
 
     Each sample runs with a sub-seed derived from (seed, sample), so results
-    do not depend on evaluation order. With temperature 0 every sample is
-    identical; that degenerate combination warns and collapses to one pass.
+    do not depend on evaluation order; the first of equal-flops samples
+    wins. Passes are priced as they run, and only the kept one is rebuilt
+    as a tree. With temperature 0 every sample is identical; that
+    degenerate combination warns and collapses to one pass.
     """
     config = config or GreedyConfig()
     if config.temperature == 0 and config.samples > 1:
         warnings.warn("temperature=0 makes all greedy samples identical", stacklevel=2)
         config = GreedyConfig(temperature=0.0, samples=1, seed=config.seed)
     best = None
-    for sample, tree, report in _sample_runs(network, config):
-        if best is None or report.flops < best[2].flops:
-            best = (sample, tree, report)
-    return best[1], best[2]
+    for _, pairs, report in _sample_runs(network, config):
+        if best is None or report.flops < best[1].flops:
+            best = (pairs, report)
+    return ssa_to_tree(SsaPath(best[0]), network), best[1]

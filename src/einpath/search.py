@@ -140,7 +140,6 @@ class _Space:
         self.out_mask = 0
         for ix in network.output:
             self.out_mask |= 1 << self.bit[ix]
-        self._sizes = {0: 1}
         self.chunk = width = _width(len(names), _CHUNK)
         tables = []
         for lo in range(0, len(names), width):
@@ -164,10 +163,7 @@ class _Space:
         self.all_terms = (1 << len(self.term_masks)) - 1
 
     def size(self, mask):
-        try:
-            return self._sizes[mask]
-        except KeyError:
-            pass
+        """Entries of a tensor over an index mask, from the chunked tables."""
         s = 1
         m = mask
         i = 0
@@ -177,7 +173,6 @@ class _Space:
             s *= self.size_tables[i][m & low]
             m >>= width
             i += 1
-        self._sizes[mask] = s
         return s
 
     def head(self, leafmask, union):
@@ -217,15 +212,16 @@ def _price(space, pairs, metric):
 def _initial_bound(network, space, config):
     """The bound that clips the cost cap: the explicit value, the naive
     chain's, or the better of the greedy tree's and the naive chain's, so a
-    greedy-seeded search never starts looser than a naive-seeded one. Both
-    trees are priced on the space with exact integers."""
+    greedy-seeded search never starts looser than a naive-seeded one. The
+    naive chain is priced on the space, greedy's tree by the greedy pass
+    itself, both with exact integers."""
     if not isinstance(config.init_bound, str):
         return config.init_bound
     n = len(network.tensors)
     naive_pairs = [(0 if t == 1 else n + t - 2, t) for t in range(1, n)]
     value = _price(space, naive_pairs, config.metric)
     if config.init_bound == "greedy":
-        value = min(value, _price(space, _greedy_path(network)[0], config.metric))
+        value = min(value, getattr(_greedy_path(network)[2], config.metric))
     return value
 
 

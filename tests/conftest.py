@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from einpath import TensorNetwork, TensorSig, parse_einsum
 
@@ -47,3 +48,40 @@ def disjoint_union(nets):
         extents.update((rename[ix], e) for ix, e in net.extents.items())
         output.extend(rename[ix] for ix in net.output)
     return TensorNetwork(tuple(tensors), extents, tuple(output))
+
+
+def batched(net, batch_extents):
+    """Add one output index per extent to every tensor (einsum batch indices)."""
+    names = tuple(f"batch{b}" for b in range(len(batch_extents)))
+    tensors = tuple(TensorSig(t.id, t.indices + names) for t in net.tensors)
+    extents = {**net.extents, **dict(zip(names, batch_extents))}
+    return TensorNetwork(tensors, extents, net.output + names)
+
+
+@st.composite
+def _hyper_part(draw):
+    """One random part: indices on 1-4 of its tensors (hyperedges when
+    more than two), extents 1-4, open legs; an index on one tensor is
+    always an output. Parts can be disconnected, closed (contracting to a
+    scalar) or a lone tensor."""
+    n = draw(st.integers(1, 6))
+    tensors = [[] for _ in range(n)]
+    extents = {}
+    output = []
+    for k in range(draw(st.integers(0, 2 * n))):
+        members = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4)))
+        name = f"x{k}"
+        for t in members:
+            tensors[t].append(name)
+        extents[name] = draw(st.integers(1, 4))
+        if len(members) == 1 or draw(st.booleans()):
+            output.append(name)
+    sigs = tuple(TensorSig(t, tuple(ixs)) for t, ixs in enumerate(tensors))
+    return TensorNetwork(sigs, extents, tuple(output))
+
+
+@st.composite
+def hyper_networks(draw):
+    """Disjoint unions of 1-4 random parts, then 0-2 batch indices."""
+    parts = draw(st.lists(_hyper_part(), min_size=1, max_size=4))
+    return batched(disjoint_union(parts), draw(st.lists(st.integers(1, 4), max_size=2)))

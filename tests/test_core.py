@@ -1,12 +1,14 @@
 from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EQUIVALENT_PAIRS, WORKED_COST, WORKED_HEADS, WORKED_PAIRS
+from conftest import EQUIVALENT_PAIRS, WORKED_COST, WORKED_HEADS, WORKED_PAIRS, hyper_networks
 from einpath import (
     CostReport,
     EinExpr,
+    EinPathError,
     InvalidContractionError,
     MalformedPathError,
     MissingExtentError,
@@ -28,6 +30,7 @@ from einpath import (
     validate_tree,
 )
 from einpath.core import contraction_flops
+from oracles import ssa_to_tree_reference, validate_tree_reference
 
 
 def test_worked_ordering_cost(closed6):
@@ -205,8 +208,6 @@ def _random_pairs(rng, n):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9), n=st.integers(2, 9))
 def test_ssa_round_trip_property(seed, n):
-    from random import Random
-
     from einpath import GenConfig, generate
 
     rng = Random(seed)
@@ -216,3 +217,86 @@ def test_ssa_round_trip_property(seed, n):
     again = ssa_to_tree(tree_to_ssa(tree), net)
     assert intermediates_equal(tree, again)
     assert cost(again, net.extents) == cost(tree, net.extents)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return "returned", fn(*args)
+    except EinPathError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=hyper_networks(), data=st.data(),
+       flaw=st.sampled_from(["none", "self", "unknown", "reuse", "short", "not a pair"]))
+def test_ssa_to_tree_matches_counter_reference(net, data, flaw):
+    # same tree, or the same error with the same message, on full and on
+    # broken paths
+    n = len(net.tensors)
+    pairs = list(_random_pairs(Random(data.draw(st.integers(0, 10**6))), n))
+    if pairs and flaw != "none":
+        step = data.draw(st.integers(0, len(pairs) - 1))
+        a, b = pairs[step]
+        if flaw == "self":
+            pairs[step] = (a, a)
+        elif flaw == "unknown":
+            pairs[step] = (a, data.draw(st.sampled_from([-1, n + step, n + len(pairs)])))
+        elif flaw == "reuse":
+            used = [x for pair in pairs[:step] for x in pair]
+            if used:
+                pairs[step] = (a, data.draw(st.sampled_from(used)))
+        elif flaw == "short":
+            del pairs[step:]
+        else:
+            pairs[step] = data.draw(st.sampled_from([(a,), (a, b, a), a]))
+    assert _outcome(ssa_to_tree, pairs, net) == _outcome(ssa_to_tree_reference, pairs, net)
+
+
+def _random_nary_tree(net, draw, flaw):
+    """A random tree of 2-4-ary nodes with heads by the keep rule, then one
+    flaw: a repeated leaf, a leaf id out of range, a wrong leaf or branch
+    head, or a one-argument branch."""
+    appear = index_appearances(net)
+    n = len(net.tensors)
+    ids = list(range(n))
+    if flaw == "repeated leaf" and n > 1:
+        ids[draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    nodes = [(EinExpr.leaf(net.tensors[t]), Counter(net.tensors[t].indices)) for t in ids]
+    if flaw == "bad leaf id":
+        nodes[-1] = (EinExpr(head=nodes[-1][0].head, leaf_id=n), nodes[-1][1])
+    if flaw == "wrong leaf head":
+        nodes[0] = (EinExpr(head=nodes[0][0].head | {"zz"}, leaf_id=0), nodes[0][1])
+    wrong = draw(st.integers(0, max(0, n - 2))) if flaw == "wrong head" else None
+    made = 0
+    while len(nodes) > 1:
+        k = draw(st.integers(2, min(4, len(nodes))))
+        picked = [nodes.pop(draw(st.integers(0, len(nodes) - 1))) for _ in range(k)]
+        counts = sum((c for _, c in picked), Counter())
+        counts = Counter({ix: c for ix, c in counts.items() if c < appear[ix]})
+        head = frozenset(counts)
+        if made == wrong:
+            head = head ^ {draw(st.sampled_from(sorted(net.extents) + ["zz"]))}
+        nodes.append((EinExpr(head=head, args=tuple(e for e, _ in picked)), counts))
+        made += 1
+    tree = nodes[0][0]
+    if flaw == "unary branch":
+        tree = EinExpr(head=tree.head, args=(tree,))
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=hyper_networks(), data=st.data(), flaw=st.sampled_from(
+    ["none", "naive", "repeated leaf", "bad leaf id", "wrong leaf head", "wrong head",
+     "unary branch"]))
+def test_validate_tree_matches_counter_reference(net, data, flaw):
+    # n-ary nodes, wrong heads and repeated leaves: the same verdict and,
+    # on a flaw, the same error with the same message
+    if flaw == "naive":
+        tree = naive(net)
+    else:
+        tree = _random_nary_tree(net, data.draw, flaw)
+    got = _outcome(validate_tree, tree, net)
+    assert got == _outcome(validate_tree_reference, tree, net)
+    if flaw == "none":
+        assert got == ("returned", None)

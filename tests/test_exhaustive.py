@@ -304,7 +304,7 @@ def test_price_is_the_cost_report(parts, seed, data):
     net = _union_of(parts, seed)
     n = len(net.tensors)
     space = search._Space(net)
-    greedy_pairs, _ = search._greedy_path(net)
+    greedy_pairs, _, _ = search._greedy_path(net)
     alive = list(range(n))
     drawn = []
     while len(alive) > 1:

@@ -1,5 +1,8 @@
+import importlib
+from random import Random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from einpath import (
     EinPathError,
@@ -20,8 +23,10 @@ from einpath import (
     validate_tree,
 )
 from einpath.greedy import _greedy_path, _sample_runs
-from conftest import disjoint_union
-from oracles import greedy_reference
+from conftest import batched, disjoint_union, hyper_networks
+from oracles import greedy_reference, thermal_greedy_reference
+
+greedy_module = importlib.import_module("einpath.greedy")  # the name einpath.greedy is the function
 
 # the eight sharing pairs of the six-tensor example and their
 # size-difference scores, by hand: result size minus both operand sizes
@@ -63,7 +68,7 @@ def test_worked_example_initial_scores(closed6):
 
 def test_worked_example_selection_order(closed6):
     # four pairs tie at -4; lexicographic order breaks the tie toward (0, 1)
-    pairs, _ = _greedy_path(closed6)
+    pairs, _, _ = _greedy_path(closed6)
     assert tuple(pairs) == ((0, 1), (3, 5), (2, 4), (6, 8), (7, 9))
     assert tuple(pairs) == greedy_reference(closed6)
 
@@ -81,7 +86,7 @@ def test_matches_reference_on_random_networks(seed):
         n_tensors=12, regularity=3.0, n_open=seed % 3,
         extent_min=2, extent_max=4, seed=seed,
     ))
-    pairs, _ = _greedy_path(net)
+    pairs, _, _ = _greedy_path(net)
     assert tuple(pairs) == greedy_reference(net)
     tree, report = greedy(net)
     validate_tree(tree, net)
@@ -114,7 +119,7 @@ def test_disconnected_fallback():
         sigs.append(TensorSig(2 * i + 1, (f"b{i}",)))
         extents[f"b{i}"] = 2 + i
     net = TensorNetwork(tuple(sigs), extents, ())
-    pairs, _ = _greedy_path(net)
+    pairs, _, _ = _greedy_path(net)
     assert tuple(pairs) == greedy_reference(net)
     live = {i: set(net.tensors[i].indices) for i in range(6)}
     outer = 0
@@ -127,13 +132,26 @@ def test_disconnected_fallback():
     assert report.flops == 2 + 3 + 4 + 1 + 1
 
 
-def test_sampled_keeps_best_sample():
+def test_sampled_keeps_best_sample(monkeypatch):
+    # passes are priced as they run: only the kept one becomes a tree
     net = generate(GenConfig(n_tensors=14, regularity=3.0, extent_min=2, extent_max=5, seed=3))
     config = GreedyConfig(temperature=0.5, samples=8, seed=3)
+    rebuild = greedy_module.ssa_to_tree
+    calls = []
+
+    def counted(path, network):
+        calls.append(path)
+        return rebuild(path, network)
+
+    monkeypatch.setattr(greedy_module, "ssa_to_tree", counted)
     tree, report = sampled_greedy(net, config)
+    assert len(calls) == 1
     validate_tree(tree, net)
-    flops = [r.flops for _, _, r in _sample_runs(net, config)]
-    assert report.flops == min(flops)
+    runs = list(_sample_runs(net, config))
+    flops = [r.flops for _, _, r in runs]
+    _, pairs, best = runs[flops.index(min(flops))]
+    assert report == best == cost(tree, net.extents)
+    assert tree_to_ssa(tree) == tree_to_ssa(rebuild(SsaPath(pairs), net))
 
 
 def test_sampled_collapse_warns(closed6):
@@ -170,19 +188,11 @@ def test_reference_agreement_property(n, seed):
         n_tensors=n, regularity=2.5, n_open=seed % 3,
         extent_min=2, extent_max=5, seed=seed,
     ))
-    pairs, _ = _greedy_path(net)
+    pairs, _, _ = _greedy_path(net)
     assert tuple(pairs) == greedy_reference(net)
     tree, report = greedy(net)
     validate_tree(tree, net)
     assert report == cost(tree, net.extents)
-
-
-def _batched(net, batch_extents):
-    """Add one output index per extent to every tensor (einsum batch indices)."""
-    names = tuple(f"batch{b}" for b in range(len(batch_extents)))
-    tensors = tuple(TensorSig(t.id, t.indices + names) for t in net.tensors)
-    extents = {**net.extents, **dict(zip(names, batch_extents))}
-    return TensorNetwork(tensors, extents, net.output + names)
 
 
 def _batch_network(parts, seed, batch_extents):
@@ -198,7 +208,7 @@ def _batch_network(parts, seed, batch_extents):
             n_open=seed % 3 if k == 0 else 0,
             extent_min=1 if seed % 4 == 0 else 2, extent_max=4, seed=seed + k,
         )))
-    return _batched(disjoint_union(nets), batch_extents)
+    return batched(disjoint_union(nets), batch_extents)
 
 
 _PARTS = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(lambda p: 2 <= sum(p) <= 12)
@@ -210,7 +220,7 @@ _BATCH = st.lists(st.integers(1, 4), min_size=1, max_size=2)
 def test_components_and_batch_indices_match_reference(parts, seed, batch_extents):
     # without batch indices, finished components fold by (size, id)
     net = _batch_network(parts, seed, batch_extents)
-    pairs, _ = _greedy_path(net)
+    pairs, _, _ = _greedy_path(net)
     assert tuple(pairs) == greedy_reference(net)
     tree, report = greedy(net)
     validate_tree(tree, net)
@@ -232,9 +242,40 @@ def test_all_carried_output_thermal_is_deterministic(parts, seed, batch_extents)
 def test_all_carried_output_push_count():
     # all pairs share the batch index; only the other indices give candidates
     n = 1000
-    net = _batched(generate(GenConfig(
+    net = batched(generate(GenConfig(
         n_tensors=n, regularity=3.0, extent_min=2, extent_max=5, seed=1,
     )), (4,))
-    pairs, pushes = _greedy_path(net)
+    pairs, pushes, _ = _greedy_path(net)
     assert pushes <= 20 * n
     validate_tree(ssa_to_tree(SsaPath(tuple(pairs)), net), net)
+
+
+_SCALAR_ROOT = parse_einsum("ij,ij->", {"i": 2, "j": 3})
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=hyper_networks(), temperature=st.sampled_from([0.0, 0.3, 2.0]),
+       seed=st.integers(0, 10**6))
+@example(net=_SCALAR_ROOT, temperature=0.0, seed=0)
+def test_pass_report_is_the_cost_of_its_tree(net, temperature, seed):
+    # the report priced during the pass is cost() of the tree its pairs build
+    pairs, _, report = _greedy_path(net, temperature, Random(seed))
+    assert report == cost(ssa_to_tree(SsaPath(pairs), net), net.extents)
+    if temperature == 0:
+        assert tuple(pairs) == greedy_reference(net)
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.5, 2.0])
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("n", [100, 200, 300])
+def test_kept_pool_matches_rebuilt_pool(n, batch, temperature):
+    # the pool kept between steps draws the same pairs as one rebuilt from
+    # the heap at every step; extents 1-3 keep scores close, so entries
+    # deep in the pool carry weight and a wrong pool changes the draws
+    net = generate(GenConfig(
+        n_tensors=n, regularity=3.0, n_open=2, extent_min=1, extent_max=3, seed=n,
+    ))
+    if batch:
+        net = batched(net, (3,))
+    pairs, _, _ = _greedy_path(net, temperature, Random(n))
+    assert tuple(pairs) == thermal_greedy_reference(net, temperature, Random(n))
