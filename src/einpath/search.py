@@ -25,11 +25,18 @@ higher cap could then admit nothing new. Among splits of equal value the
 first scanned wins, and the scan order depends on the passes made, so
 where optimal trees tie the tree returned can differ from one found under
 another schedule, at identical cost.
+
+The hot loop: each level is held as rows (leafmask, (value, head, head
+size)) that persist across passes, a subset's head is computed once,
+when it is first admitted, since it does not depend on the split, and
+under flops a pair whose value provably passes the cap is rejected from
+its operands' values and head sizes, before its union is sized.
 """
 
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import SsaPath, cost, ssa_to_tree
 from .errors import BudgetError, EinPathError
@@ -83,10 +90,18 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
-    """Counters for one search call; prunes never exceeds nodes_expanded."""
+    """Counters for one search call; prunes never exceeds nodes_expanded.
+
+    nodes_expanded counts the pairs of subsets examined and prunes those
+    rejected for cost. passes counts the passes of the subset DP and
+    subsets the entries it recorded (units included), both summed over
+    every component and the spine; subsets is the memo size.
+    """
 
     nodes_expanded: int = 0
     prunes: int = 0
+    passes: int = 0
+    subsets: int = 0
     best_cost: int = None
 
 
@@ -295,6 +310,22 @@ def _floor(space, items, metric):
 # since greedy contracts sharing pairs while any exist and its tree lies in
 # the search space. Either way a greedy-seeded search expands no more nodes
 # than a naive-seeded one.
+#
+# Why a subset needs one head, whatever its split. Write U(S) for the union
+# of the term masks of the tensors in S, and O(S) for the output mask joined
+# with U of every tensor outside S. A unit's head holds U & O of its leaves
+# and lies within U of them: a tensor's head is its term mask, a part's is
+# the part's result. For disjoint a and b with k = a | b, head(k, ha | hb)
+# is (ha | hb) & O(k). Since ha | hb lies within U(k), that lies within
+# U(k) & O(k). Conversely take an index x in U(k) & O(k), say in U(a). O(k)
+# lies within O(a), because every tensor outside k is outside a, so x is in
+# U(a) & O(a), which lies within ha. So head(k, ha | hb) = U(k) & O(k) for
+# every split: an index summed inside a or b is carried nowhere outside k.
+# The flops pass therefore computes a head only when a subset is first
+# admitted, and an improving split keeps it. Its early reject is exact too:
+# ha | hb holds ha and hb and every extent is at least 1, so the size of
+# ha | hb is at least max(sa, sb), and va + vb + max(sa, sb) above the cap
+# proves the pair's value above it.
 
 
 def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bound,
@@ -310,17 +341,32 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bo
     and lacks target when no tree over the units exists, which a pass that
     rejects no pair for cost proves. budget raises BudgetError once the
     call's limits are passed.
+
+    Each level (leaf count) is a list of rows (leafmask, (value, head mask,
+    head size)) in first-admission order, so pairing reads no table. A
+    subset admitted in an earlier pass holds its optimum, so rows persist
+    across passes; a level's new subsets join its rows once the level is
+    complete, as a later pair of the same level can still improve them.
+    Under flops a subset's head is computed once, at first admission (see
+    the comment above), and a pair whose va + vb + max(sa, sb) passes the
+    cap is rejected before its union is sized; under peak a pair is
+    rejected on max(va, vb) before its head is computed. Either counts as
+    a prune, and the scan order, the splits kept, nodes_expanded and prunes
+    are those of a loop that sizes and heads every pair.
     """
     best = {}
-    levels = defaultdict(list)
+    rows = defaultdict(list)
     target = 0
+    size = space.size
     for leafmask, headmask, value in items:
         best[leafmask] = (value, headmask, None)
-        levels[leafmask.bit_count()].append(leafmask)
+        rows[leafmask.bit_count()].append((leafmask, (value, headmask, size(headmask))))
         target |= leafmask
     flops_metric = metric == "flops"
-    size = space.size
     head_of = space.head
+    tables = space.size_tables
+    width = space.chunk
+    low = (1 << width) - 1
     cap = max(1, min(start, bound))
     factor = max(2, space.max_extent)
     top = target.bit_count()
@@ -329,49 +375,74 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bo
     scanned = 0
     clock_at = _CLOCK_EVERY
     while target not in best:
+        stats.passes += 1
         rejected = 0
         for c in range(2, top + 1):
+            fresh = []
             for d in range(1, c // 2 + 1):
-                la = levels.get(d, ())
-                lb = levels.get(c - d, ())
-                for i, a in enumerate(la):
-                    va, ha, _ = best[a]
-                    partners = lb if d != c - d else la[i + 1:]
-                    scanned += len(partners)
+                ra = rows.get(d, ())
+                rb = rows.get(c - d, ())
+                same = d == c - d
+                for i, (a, (va, ha, sa)) in enumerate(ra):
+                    lo = i + 1 if same else 0
+                    scanned += len(rb) - lo
                     if scanned > clock_at:
                         budget.check_clock()
                         clock_at = scanned + _CLOCK_EVERY
-                    for b in partners:
+                    for b, row in islice(rb, lo, None) if same else rb:
                         if a & b:
                             continue
-                        vb, hb, _ = best[b]
+                        vb, hb, sb = row
                         if not allow_outer and not ha & hb:
                             continue
                         nodes += 1
                         if nodes > check_at:
                             check_at = budget.check(nodes)
                         key = a | b
-                        head = head_of(key, ha | hb)
                         if flops_metric:
-                            value = va + vb + size(ha | hb)
-                        elif exclude_root_scalar and key == target and head == 0:
-                            value = va if va >= vb else vb
+                            value = va + vb
+                            if value + (sa if sa >= sb else sb) > cap:
+                                rejected += 1
+                                continue
+                            u = ha | hb
                         else:
-                            value = max(va, vb, size(head))
+                            value = va if va >= vb else vb
+                            if value > cap:
+                                rejected += 1
+                                continue
+                            u = head = head_of(key, ha | hb)
+                        s = 1
+                        k = 0
+                        while u:
+                            s *= tables[k][u & low]
+                            u >>= width
+                            k += 1
+                        if flops_metric:
+                            value += s
+                        elif s > value and not (exclude_root_scalar and key == target
+                                                and head == 0):
+                            value = s
                         if value > cap:
                             rejected += 1
                             continue
                         cur = best.get(key)
                         if cur is None:
+                            if flops_metric:
+                                head = head_of(key, ha | hb)
                             best[key] = (value, head, (a, b))
-                            levels[c].append(key)
+                            fresh.append(key)
                         elif value < cur[0]:
-                            best[key] = (value, head, (a, b))
+                            best[key] = (value, cur[1], (a, b))
+            level = rows[c]
+            for key in fresh:
+                value, head, _ = best[key]
+                level.append((key, (value, head, size(head))))
         stats.nodes_expanded = nodes
         stats.prunes += rejected
         if not rejected:
             break
         cap = min(cap * factor, bound) if cap < bound else cap * factor
+    stats.subsets += len(best)
     return best, target
 
 

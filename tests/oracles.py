@@ -7,7 +7,7 @@ package's own cost and search code, so agreement actually means something.
 import bisect
 import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 from random import Random
 
@@ -15,6 +15,7 @@ from einpath._util import derive_seed
 from einpath.core import EinExpr
 from einpath.errors import InvalidContractionError, MalformedPathError
 from einpath.partition import ANCHOR, _RESTARTS, _balance_bounds
+from einpath.search import _CLOCK_EVERY
 
 
 def _bits(network):
@@ -633,3 +634,84 @@ def bisect_reference(h, imbalance=0.2, fm_passes=10, seed=0):
             best = (weight, part_a)
     weight, part_a = best
     return part_a, frozenset(vertices) - part_a, weight
+
+
+def capped_dp_reference(space, items, metric, allow_outer, exclude_root_scalar, start, bound,
+                        stats, budget):
+    """Best tree per subset, admitting only subtrees within a cost cap.
+
+    The plain loop search._capped_dp must match exactly: it reads every
+    partner from best, and heads and sizes every pair it counts.
+
+    items are atomic units: (leafmask, head mask, base value). The first
+    pass runs at min(start, bound); each pass that leaves the union of all
+    units unformed multiplies the cap by the largest extent, clipped at the
+    bound until a pass at the bound has failed. Any subset whose optimum
+    fits under the final cap is recorded optimally along the way. Returns
+    (best, target): best maps leafmask to (value, head mask, split or None)
+    and lacks target when no tree over the units exists, which a pass that
+    rejects no pair for cost proves. budget raises BudgetError once the
+    call's limits are passed.
+    """
+    best = {}
+    levels = defaultdict(list)
+    target = 0
+    for leafmask, headmask, value in items:
+        best[leafmask] = (value, headmask, None)
+        levels[leafmask.bit_count()].append(leafmask)
+        target |= leafmask
+    flops_metric = metric == "flops"
+    size = space.size
+    head_of = space.head
+    cap = max(1, min(start, bound))
+    factor = max(2, space.max_extent)
+    top = target.bit_count()
+    nodes = stats.nodes_expanded
+    check_at = budget.check(nodes)
+    scanned = 0
+    clock_at = _CLOCK_EVERY
+    while target not in best:
+        rejected = 0
+        for c in range(2, top + 1):
+            for d in range(1, c // 2 + 1):
+                la = levels.get(d, ())
+                lb = levels.get(c - d, ())
+                for i, a in enumerate(la):
+                    va, ha, _ = best[a]
+                    partners = lb if d != c - d else la[i + 1:]
+                    scanned += len(partners)
+                    if scanned > clock_at:
+                        budget.check_clock()
+                        clock_at = scanned + _CLOCK_EVERY
+                    for b in partners:
+                        if a & b:
+                            continue
+                        vb, hb, _ = best[b]
+                        if not allow_outer and not ha & hb:
+                            continue
+                        nodes += 1
+                        if nodes > check_at:
+                            check_at = budget.check(nodes)
+                        key = a | b
+                        head = head_of(key, ha | hb)
+                        if flops_metric:
+                            value = va + vb + size(ha | hb)
+                        elif exclude_root_scalar and key == target and head == 0:
+                            value = va if va >= vb else vb
+                        else:
+                            value = max(va, vb, size(head))
+                        if value > cap:
+                            rejected += 1
+                            continue
+                        cur = best.get(key)
+                        if cur is None:
+                            best[key] = (value, head, (a, b))
+                            levels[c].append(key)
+                        elif value < cur[0]:
+                            best[key] = (value, head, (a, b))
+        stats.nodes_expanded = nodes
+        stats.prunes += rejected
+        if not rejected:
+            break
+        cap = min(cap * factor, bound) if cap < bound else cap * factor
+    return best, target

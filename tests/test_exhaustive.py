@@ -375,11 +375,13 @@ def test_unformable_target_stops_raising():
     best, target, stats = _solve_units(parse_einsum("i,j->ij", {"i": 2, "j": 3}))
     assert target == 3 and target not in best
     assert (stats.nodes_expanded, stats.prunes) == (0, 0)
+    assert (stats.passes, stats.subsets) == (1, 2)
     # a sharing pair rejected at cap 1 is admitted at cap 8; then the last
     # pass rejects nothing, so raising stops after exactly two passes
     best, target, stats = _solve_units(parse_einsum("i,i,j->j", {"i": 8, "j": 3}))
     assert target == 7 and target not in best and 3 in best
     assert (stats.nodes_expanded, stats.prunes) == (2, 1)
+    assert (stats.passes, stats.subsets) == (2, 4)
 
 
 def test_deadline_holds_in_uncounted_scans():
