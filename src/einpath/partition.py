@@ -3,7 +3,8 @@
 The network is bisected into two balanced tensor groups cutting as little
 index weight as possible, each side is solved as its own sub-network (cut
 indices become open indices), and the two results meet in a final join.
-Small sides are handed to a leaf optimizer.
+Small sides are handed to a leaf optimizer. Every index, output or not, is
+a plain hyperedge over the tensors carrying it, so no side is favoured.
 """
 
 import dataclasses
@@ -21,8 +22,6 @@ from .greedy import GreedyConfig, greedy
 from .search import SearchConfig, exhaustive_dfs
 
 __all__ = ["Hypergraph", "PartitionConfig", "build_hypergraph", "bisect", "partition_optimize"]
-
-ANCHOR = -1  # virtual vertex holding the output indices; it never moves
 
 _RESTARTS = 8
 
@@ -60,18 +59,14 @@ class Hypergraph:
 
 
 def build_hypergraph(network):
-    """Hypergraph of a network for bisection.
-
-    Output indices additionally attach to a virtual anchor vertex (id -1)
-    pinned to side A, so tensors carrying output indices get pulled toward
-    one block instead of every cut through them being free.
+    """Hypergraph of a network for bisection: each index is an edge over the
+    tensors carrying it. An output index carried by one tensor (an open leg)
+    is a one-pin edge, which no bisection cuts.
     """
     incidence = {}
     for sig in network.tensors:
         for ix in sig.indices:
             incidence.setdefault(ix, set()).add(sig.id)
-    for ix in network.output:
-        incidence[ix].add(ANCHOR)
     return Hypergraph(
         vertices=tuple(range(len(network.tensors))),
         edges={ix: frozenset(vs) for ix, vs in sorted(incidence.items())},
@@ -87,41 +82,33 @@ def _balance_bounds(n, imbalance):
 
 
 def cut_weight(h, part_a):
-    """Total weight of edges spanning the two sides (anchor sits in part A)."""
+    """Total weight of edges with members both in and outside part_a."""
     total = 0.0
     for ix in sorted(h.edges):
-        in_a = in_b = False
-        for v in h.edges[ix]:
-            if v == ANCHOR or v in part_a:
-                in_a = True
-            else:
-                in_b = True
-        if in_a and in_b:
+        members = h.edges[ix]
+        if 0 < sum(v in part_a for v in members) < len(members):
             total += h.weights[ix]
     return total
 
 
 class _Flat(NamedTuple):
-    """bisect's flat layout of a hypergraph. Edges are numbered in sorted
-    index order and vertices by position in sorted order; per edge: its
-    member positions (anchor removed), whether the anchor is a member, its
-    pin count (anchor included) and weight; per vertex: its incident edge
-    ids in increasing order."""
+    """bisect's flat layout of a hypergraph. Vertices are numbered by
+    position in sorted order, and the edges of two or more pins in sorted
+    index order; per edge: its member positions and weight; per vertex: its
+    incident edge ids in increasing order."""
 
     members: list
-    anchored: bytes
-    pins: list
     weights: list
     incident: list
 
 
 def _counts(flat, side):
-    """Pins of every edge on side A (anchor included) and on side B."""
+    """Pins of every edge on side A and on side B."""
     c1 = [0] * len(flat.weights)
     for edges in compress(flat.incident, side):
         for e in edges:
             c1[e] += 1
-    return [p - b for p, b in zip(flat.pins, c1)], c1
+    return [len(m) - b for m, b in zip(flat.members, c1)], c1
 
 
 def _cut(flat, c0, c1):
@@ -146,11 +133,10 @@ def _fm_pass(flat, side, sizes, lo, hi):
     on push order.
 
     An edge with locked pins on both sides stays cut for the rest of the
-    pass (the anchor is a locked pin on side A). Once the initial cut minus
-    the weight of such edges is more than 1e-6 (a margin for float error)
-    below the best reduction so far, no later prefix can beat the best
-    one, and the pass stops early. Returns (the kept cut reduction >= 0,
-    the moves made before the rollback).
+    pass. Once the initial cut minus the weight of such edges is more than
+    1e-6 (a margin for float error) below the best reduction so far, no
+    later prefix can beat the best one, and the pass stops early. Returns
+    (the kept cut reduction >= 0, the moves made before the rollback).
     """
     members = flat.members
     weights = flat.weights
@@ -178,7 +164,7 @@ def _fm_pass(flat, side, sizes, lo, hi):
     heappush = heapq.heappush
     gen = [0] * n
     locked = bytearray(n)
-    held = bytearray(flat.anchored)  # per edge: 1 = a locked pin on A, 2 = on B
+    held = bytearray(len(weights))  # per edge: 1 = a locked pin on A, 2 = on B
     mark = [-1] * n
     need = max(lo + 1, n - hi + 1)  # a side must hold this many to give one up
     moves = []
@@ -266,13 +252,15 @@ def bisect(h, config=None):
 
     Randomized starting assignments (derived from config.seed) are refined
     by up to fm_passes Fiduccia-Mattheyses-style passes each; a pass never
-    increases the cut. Returns (part_a, part_b, cut_weight); the virtual
-    output anchor counts as part A when weighing cuts.
+    increases the cut. Returns (part_a, part_b, cut_weight). An edge member
+    that is not a vertex raises EinPathError.
 
     The passes run on flat arrays (_Flat) built once per call: vertices
     become positions 0..n-1 in sorted order, edges ids in sorted-index
-    order, and a side assignment a bytearray. _fm_pass describes the gain
-    rule and the early stop, neither of which changes the result.
+    order, and a side assignment a bytearray. An edge of one pin is left
+    out: it is never cut and adds nothing to a gain, so the result is the
+    same. _fm_pass describes the gain rule and the early stop, neither of
+    which changes the result either.
     """
     config = config or PartitionConfig()
     vertices = sorted(h.vertices)
@@ -281,19 +269,20 @@ def bisect(h, config=None):
         raise EinPathError("bisection needs at least two vertices")
     lo, hi = _balance_bounds(n, config.imbalance)
     pos = {v: i for i, v in enumerate(vertices)}
-    names = sorted(h.edges)
-    members = [[pos[v] for v in h.edges[ix] if v != ANCHOR] for ix in names]
+    members = []
+    weights = []
     incident = [[] for _ in range(n)]
-    for e, mem in enumerate(members):
-        for p in mem:
-            incident[p].append(e)
-    flat = _Flat(
-        members=members,
-        anchored=bytes(ANCHOR in h.edges[ix] for ix in names),
-        pins=[len(h.edges[ix]) for ix in names],
-        weights=[h.weights[ix] for ix in names],
-        incident=incident,
-    )
+    for ix in sorted(h.edges):
+        try:
+            mem = [pos[v] for v in h.edges[ix]]
+        except KeyError as err:
+            raise EinPathError(f"edge {ix!r} has member {err.args[0]!r}, not a vertex") from None
+        if len(mem) > 1:
+            for p in mem:
+                incident[p].append(len(members))
+            members.append(mem)
+            weights.append(h.weights[ix])
+    flat = _Flat(members, weights, incident)
     best = None
     for restart in range(_RESTARTS):
         rng = Random(derive_seed(config.seed, restart))

@@ -322,7 +322,8 @@ def _floor(space, items, metric):
 # U(a) & O(a), which lies within ha. So head(k, ha | hb) = U(k) & O(k) for
 # every split: an index summed inside a or b is carried nowhere outside k.
 # The flops pass therefore computes a head only when a subset is first
-# admitted, and an improving split keeps it. Its early reject is exact too:
+# admitted, and an improving split keeps it; the peak pass reuses an
+# admitted subset's stored head. The flops early reject is exact too:
 # ha | hb holds ha and hb and every extent is at least 1, so the size of
 # ha | hb is at least max(sa, sb), and va + vb + max(sa, sb) above the cap
 # proves the pair's value above it.
@@ -350,9 +351,10 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bo
     Under flops a subset's head is computed once, at first admission (see
     the comment above), and a pair whose va + vb + max(sa, sb) passes the
     cap is rejected before its union is sized; under peak a pair is
-    rejected on max(va, vb) before its head is computed. Either counts as
-    a prune, and the scan order, the splits kept, nodes_expanded and prunes
-    are those of a loop that sizes and heads every pair.
+    rejected on max(va, vb) before its head is computed, and an admitted
+    subset's stored head is reused. Either reject counts as a prune, and
+    the scan order, the splits kept, nodes_expanded and prunes are those
+    of a loop that sizes and heads every pair.
     """
     best = {}
     rows = defaultdict(list)
@@ -410,7 +412,8 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bo
                             if value > cap:
                                 rejected += 1
                                 continue
-                            u = head = head_of(key, ha | hb)
+                            cur = best.get(key)
+                            u = head = cur[1] if cur else head_of(key, ha | hb)
                         s = 1
                         k = 0
                         while u:

@@ -14,7 +14,7 @@ from random import Random
 from einpath._util import derive_seed
 from einpath.core import EinExpr
 from einpath.errors import InvalidContractionError, MalformedPathError
-from einpath.partition import ANCHOR, _RESTARTS, _balance_bounds
+from einpath.partition import _RESTARTS, _balance_bounds
 from einpath.search import _CLOCK_EVERY
 
 
@@ -523,7 +523,7 @@ def bisect_reference(h, imbalance=0.2, fm_passes=10, seed=0):
         for ix in sorted(h.edges):
             in_a = in_b = False
             for v in h.edges[ix]:
-                if v == ANCHOR or v in part_a:
+                if v in part_a:
                     in_a = True
                 else:
                     in_b = True
@@ -548,7 +548,7 @@ def bisect_reference(h, imbalance=0.2, fm_passes=10, seed=0):
         for ix, members in h.edges.items():
             c = [0, 0]
             for v in members:
-                c[0 if v == ANCHOR else side[v]] += 1
+                c[side[v]] += 1
             counts[ix] = c
         heaps = ([], [])
         gen = {}
@@ -598,7 +598,7 @@ def bisect_reference(h, imbalance=0.2, fm_passes=10, seed=0):
                 best_cum = cum
                 best_len = len(moves)
             for u in sorted(touched):
-                if u == ANCHOR or u in locked or u == v:
+                if u in locked or u == v:
                     continue
                 gen[u] += 1
                 heapq.heappush(heaps[side[u]], (-gain(incident, counts, side, u), u, gen[u]))
@@ -615,8 +615,7 @@ def bisect_reference(h, imbalance=0.2, fm_passes=10, seed=0):
     incident = {v: [] for v in vertices}
     for ix in sorted(h.edges):
         for v in h.edges[ix]:
-            if v != ANCHOR:
-                incident[v].append(ix)
+            incident[v].append(ix)
     best = None
     for restart in range(_RESTARTS):
         rng = Random(derive_seed(seed, restart))

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from einpath import (
     validate_tree,
 )
 from einpath import partition
-from einpath.partition import ANCHOR, Hypergraph, _balance_bounds
+from einpath.partition import Hypergraph, _balance_bounds
 from einpath.search import exhaustive_dfs
 from oracles import bisect_reference, min_balanced_cut
 
@@ -42,15 +43,13 @@ def test_worked_example_hypergraph(closed6):
     assert all(w == 1.0 for w in h.weights.values())
 
 
-def test_anchor_attaches_to_output():
+def test_output_index_is_plain_edge():
     net = parse_einsum("ij,jk->ik", {"i": 2, "j": 3, "k": 4})
     h = build_hypergraph(net)
-    assert h.edges["i"] == frozenset({ANCHOR, 0})
-    assert h.edges["k"] == frozenset({ANCHOR, 1})
-    assert h.edges["j"] == frozenset({0, 1})
-    # the anchor sits in part A, so cutting {0} | {1} exposes j and k
-    assert cut_weight(h, frozenset({0})) == pytest.approx(math.log2(3) + math.log2(4))
-    assert cut_weight(h, frozenset({1})) == pytest.approx(math.log2(3) + math.log2(2))
+    assert h.edges == {"i": frozenset({0}), "j": frozenset({0, 1}), "k": frozenset({1})}
+    # the open legs i and k are one-pin edges, so only j is cut
+    assert cut_weight(h, frozenset({0})) == pytest.approx(math.log2(3))
+    assert cut_weight(h, frozenset({1})) == pytest.approx(math.log2(3))
 
 
 def test_cut_weight_manual(closed6):
@@ -97,7 +96,7 @@ def test_bisect_respects_balance(seed):
 @st.composite
 def _hypergraphs(draw):
     """Vertices with scattered ids; edges of one to five pins or of every
-    vertex, some holding the anchor, weighted log2 of extents 1-5."""
+    vertex, weighted log2 of extents 1-5."""
     n = draw(st.integers(2, 24))
     vertices = sorted(draw(st.sets(st.integers(0, 999), min_size=n, max_size=n)))
     edges = {}
@@ -107,8 +106,6 @@ def _hypergraphs(draw):
             members = set(vertices)
         else:
             members = set(draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=5)))
-        if draw(st.booleans()):
-            members.add(ANCHOR)
         edges[f"e{e:03d}"] = frozenset(members)
         weights[f"e{e:03d}"] = math.log2(draw(st.integers(1, 5)))
     return Hypergraph(tuple(vertices), edges, weights)
@@ -118,8 +115,9 @@ def _hypergraphs(draw):
 @given(h=_hypergraphs(), imbalance=st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.45]),
        fm_passes=st.integers(1, 10), seed=st.integers(0, 10**6))
 def test_bisect_matches_reference(h, imbalance, fm_passes, seed):
-    # the array FM with its early stop makes the reference FM's moves:
-    # same halves, and the very same float cut weight
+    # the array FM, with its early stop and without one-pin edges, makes
+    # the reference FM's moves: same halves, and the very same float cut
+    # weight
     config = PartitionConfig(imbalance=imbalance, fm_passes=fm_passes, seed=seed)
     assert bisect(h, config) == bisect_reference(h, imbalance, fm_passes, seed)
 
@@ -158,6 +156,13 @@ def test_odd_network_without_slack():
     assert sorted([len(part_a), len(part_b)]) == [4, 5]
 
 
+def test_bisect_rejects_unknown_member():
+    h = Hypergraph((0, 1, 2), {"a": frozenset({0, 1}), "b": frozenset({-1})},
+                   {"a": 1.0, "b": 1.0})
+    with pytest.raises(EinPathError, match="'b'"):
+        bisect(h)
+
+
 def test_bisect_determinism(closed6):
     h = build_hypergraph(closed6)
     assert bisect(h, PartitionConfig(seed=5)) == bisect(h, PartitionConfig(seed=5))
@@ -180,6 +185,21 @@ def test_worked_example_partition(closed6):
     validate_tree(tree, closed6)
     assert report == cost(tree, closed6.extents)
     assert report.flops == 104
+
+
+def test_partition_not_worse_than_greedy_at_256():
+    # over networks with 0-3 open legs, partition's median tree costs no
+    # more flops than greedy's
+    part = []
+    base = []
+    for seed in range(8):
+        net = generate(GenConfig(
+            n_tensors=256, regularity=3.0, n_open=seed % 4,
+            extent_min=2, extent_max=5, seed=seed,
+        ))
+        part.append(math.log10(partition_optimize(net, PartitionConfig(seed=seed))[1].flops))
+        base.append(math.log10(greedy(net)[1].flops))
+    assert statistics.median(part) <= statistics.median(base)
 
 
 @pytest.mark.parametrize("leaf", ["exhaustive_dfs", "greedy"])
