@@ -1,4 +1,4 @@
-"""Command-line front end: optimize, gen, verify, bench."""
+"""Command-line front end: optimize, gen, verify."""
 
 import argparse
 import csv
@@ -95,20 +95,6 @@ def _run_method(network, args):
     return tree, report, 0
 
 
-def _stats_row(method, init, n_tensors, seed, report, wall, nodes):
-    """One row of _CSV_COLUMNS."""
-    return (method, init, n_tensors, seed, report.flops, report.peak_size, wall, nodes)
-
-
-def _stats_csv(rows):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row)
-    return out.getvalue()
-
-
 def _cmd_optimize(args):
     network = loads_network(_read(args.input))
     begin = time.perf_counter_ns()
@@ -120,8 +106,12 @@ def _cmd_optimize(args):
         _write(args.dot, export_dot(tree, network))
     if args.stats:
         init = args.init if args.method in ("exhaustive-dfs", "exhaustive-bfs") else ""
-        row = _stats_row(args.method, init, len(network.tensors), args.seed, report, wall, nodes)
-        _write(args.stats, _stats_csv([row]))
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerow((args.method, init, len(network.tensors), args.seed,
+                         report.flops, report.peak_size, wall, nodes))
+        _write(args.stats, out.getvalue())
     return 0
 
 
@@ -158,42 +148,6 @@ def _cmd_verify(args):
         f"ok: flops={actual.flops} peak_size={actual.peak_size} "
         f"write_volume={actual.write_volume}\n"
     )
-    return 0
-
-
-def _bench_network(size, seed):
-    return generate(
-        GenConfig(n_tensors=size, regularity=3.0, extent_min=2, extent_max=5, seed=seed)
-    )
-
-
-def _cmd_bench(args):
-    try:
-        sizes = sorted({int(s) for s in args.sizes.split(",") if s})
-    except ValueError:
-        raise EinPathError(f"--sizes takes comma-separated integers, got '{args.sizes}'")
-    if not sizes:
-        raise EinPathError("--sizes is empty")
-    rows = []
-    for size in sizes:
-        for seed in range(args.seeds):
-            network = _bench_network(size, seed)
-            if args.suite == "exhaustive":
-                for init in ("naive", "greedy"):
-                    cfg = SearchConfig(init_bound=init)
-                    begin = time.perf_counter_ns()
-                    _, report, stats = exhaustive_dfs(network, cfg)
-                    wall = time.perf_counter_ns() - begin
-                    rows.append(_stats_row(
-                        "exhaustive-dfs", init, size, seed, report, wall, stats.nodes_expanded
-                    ))
-            else:
-                begin = time.perf_counter_ns()
-                _, report, pushes = _single_run(network, GreedyConfig(seed=seed), 0)
-                wall = time.perf_counter_ns() - begin
-                rows.append(_stats_row("greedy", "", size, seed, report, wall, pushes))
-    rows.sort(key=lambda r: (r[2], r[3]))
-    _write(args.output, _stats_csv(rows))
     return 0
 
 
@@ -240,13 +194,6 @@ def _build_parser():
     ver.add_argument("--network", required=True)
     ver.add_argument("--path", required=True)
     ver.set_defaults(run=_cmd_verify)
-
-    ben = sub.add_parser("bench", help="time optimizers over generated networks")
-    ben.add_argument("--suite", choices=("exhaustive", "greedy"), required=True)
-    ben.add_argument("--sizes", required=True, help="comma-separated tensor counts")
-    ben.add_argument("--seeds", type=int, default=5)
-    ben.add_argument("--output", default="-")
-    ben.set_defaults(run=_cmd_bench)
 
     return parser
 

@@ -123,15 +123,6 @@ class TensorNetwork:
                         f"index '{ix}' appears once and is not in the output (dangling)",
                     )
 
-    def index(self, name):
-        if name not in self.extents:
-            raise MissingExtentError(f"no extent recorded for index '{name}'")
-        return Index(name, self.extents[name])
-
-    def indices(self):
-        """All indices of the network, sorted by name."""
-        return tuple(Index(ix, self.extents[ix]) for ix in sorted(self.extents))
-
 
 def index_appearances(network):
     """Count how many tensors carry each index, plus one if it is an output.

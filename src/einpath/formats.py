@@ -101,6 +101,8 @@ def _loads(text):
         raise NetworkValidationError(
             f"line {exc.lineno} column {exc.colno}", exc.msg
         ) from exc
+    except ValueError as exc:  # e.g. an integer past Python's digit limit
+        raise NetworkValidationError("$", str(exc)) from exc
 
 
 def path_to_document(path, report, optimizer, seed):
@@ -140,9 +142,12 @@ def document_to_path(doc):
     for key in ("flops", "peak_size", "write_volume"):
         text = costs.get(key)
         # decimal strings keep arbitrarily large counts exact in JSON
-        if not isinstance(text, str) or not text.isdigit():
+        if not isinstance(text, str) or not (text.isascii() and text.isdigit()):
             raise MalformedPathError(f"cost.{key} must be a decimal string")
-        values[key] = int(text)
+        try:
+            values[key] = int(text)
+        except ValueError as exc:
+            raise MalformedPathError(f"cost.{key}: {exc}") from exc
     optimizer = doc.get("optimizer")
     if not isinstance(optimizer, str):
         raise MalformedPathError("optimizer must be a string")
@@ -163,6 +168,8 @@ def loads_path(text):
         raise MalformedPathError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise MalformedPathError(str(exc)) from exc
     return document_to_path(doc)
 
 
@@ -212,37 +219,25 @@ def export_dot(tree, network):
     """
     extents = network.extents
     n = len(network.tensors)
+    names = {}  # id(branch) -> node name, numbered in post-order like SSA ids
+
+    def name(node):
+        return f"t{node.leaf_id}" if node.is_leaf else names[id(node)]
+
     declared = []
     edges = []
-    counter = n
-    # post-order walk mirroring SSA numbering
-    stack = [(tree, 0)]
-    results = []
-    while stack:
-        node, state = stack.pop()
-        if node.is_leaf:
-            results.append((f"t{node.leaf_id}", tensor_size(node.head, extents)))
-            continue
-        if state < len(node.args):
-            stack.append((node, state + 1))
-            stack.append((node.args[state], 0))
-            continue
-        children = results[len(results) - len(node.args):]
-        del results[len(results) - len(node.args):]
-        name = f"n{counter}"
-        counter += 1
-        flops = sum(f for f, _ in _fold_entries(node, extents))
-        declared.append((name, flops))
-        for child_name, child_size in children:
-            edges.append((child_name, name, child_size))
-        results.append((name, tensor_size(node.head, extents)))
-    root_name, root_size = results[0]
+    for node in tree.branches():
+        here = names[id(node)] = f"n{n + len(declared)}"
+        declared.append((here, sum(f for f, _ in _fold_entries(node, extents))))
+        for arg in node.args:
+            edges.append((name(arg), here, tensor_size(arg.head, extents)))
+    root_name, root_size = name(tree), tensor_size(tree.head, extents)
     lines = ["digraph contraction {"]
     for i in range(n):
         lines.append(f'  t{i} [shape=point];')
-    for name, flops in declared:
+    for node_name, flops in declared:
         lines.append(
-            f'  {name} [label="{flops}", weight="{math.log10(flops):.6f}"];'
+            f'  {node_name} [label="{flops}", weight="{math.log10(flops):.6f}"];'
         )
     lines.append("  out [shape=point];")
     for tail, head, size in edges:

@@ -338,23 +338,18 @@ def _partition_pairs(network, seed, depth, config):
     sides = sorted(
         [sorted(part_a), sorted(part_b)], key=lambda s: (len(s), s[0])
     )
-    carriers = {}
-    for sig in network.tensors:
-        for ix in sig.indices:
-            carriers.setdefault(ix, set()).add(sig.id)
     out_set = set(network.output)
     pairs = []
     roots = []
     for tag, members in enumerate(sides):
-        sub = _subnetwork(network, members, carriers, out_set)
+        sub = _subnetwork(network, members, h.edges, out_set)
         sub_pairs = _partition_pairs(sub, derive_seed(seed, depth, tag), depth + 1, config)
         trans = dict(enumerate(members))
         m = len(members)
-        root = trans[0] if m == 1 else None
         for j, (x, y) in enumerate(sub_pairs):
             pairs.append((trans[x], trans[y]))
-            root = trans[m + j] = n + len(pairs) - 1
-        roots.append(root)
+            trans[m + j] = n + len(pairs) - 1
+        roots.append(trans[2 * m - 2])
     pairs.append((roots[0], roots[1]))
     return pairs
 

@@ -96,6 +96,13 @@ def test_loads_network_bad_json():
         loads_network('{\n  "tensors": [}\n}')
 
 
+def test_loads_network_integer_past_digit_limit():
+    # json.loads raises a plain ValueError past Python's 4,300-digit limit
+    text = '{"tensors": [{"id": 0, "indices": ["a"]}], "extents": {"a": %s}, "output": ["a"]}'
+    with pytest.raises(NetworkValidationError, match="4300"):
+        loads_network(text % ("9" * 5000))
+
+
 def test_path_round_trip():
     path = SsaPath(((0, 1), (2, 3)))
     report = CostReport(10**40, 3, 10**38 + 1)
@@ -125,9 +132,24 @@ def test_path_validation(mutate, message):
         document_to_path(doc)
 
 
+@pytest.mark.parametrize("text, message", [
+    # isdigit() alone admits superscripts, which int() rejects, and other scripts' digits
+    ("\u00b2", "cost.flops must be a decimal string"),
+    ("\u0661\u0662", "cost.flops must be a decimal string"),
+    ("9" * 5000, "cost.flops: Exceeds"),
+], ids=["superscript", "arabic-indic", "past-digit-limit"])
+def test_cost_string_not_ascii_decimal(text, message):
+    doc = path_to_document(SsaPath(((0, 1), (2, 3))), CostReport(104, 16, 41), "greedy", 0)
+    doc["cost"]["flops"] = text
+    with pytest.raises(MalformedPathError, match=message):
+        document_to_path(doc)
+
+
 def test_loads_path_bad_json():
     with pytest.raises(MalformedPathError, match="line 1 column"):
         loads_path("[1,")
+    with pytest.raises(MalformedPathError, match="4300"):
+        loads_path('{"seed": %s}' % ("9" * 5000))
 
 
 def test_parse_einsum_worked_example(closed6):
