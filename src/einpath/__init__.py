@@ -9,7 +9,6 @@ and moves them in and out of JSON, einsum strings and DOT.
 from .core import (
     CostReport,
     EinExpr,
-    Index,
     SsaPath,
     TensorNetwork,
     TensorSig,
@@ -71,7 +70,6 @@ __all__ = [
     "GenerationError",
     "GreedyConfig",
     "Hypergraph",
-    "Index",
     "InvalidContractionError",
     "MalformedPathError",
     "MissingExtentError",

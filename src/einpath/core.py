@@ -22,7 +22,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Index",
     "TensorSig",
     "TensorNetwork",
     "EinExpr",
@@ -42,20 +41,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Index:
-    """A named index with a positive integer extent."""
-
-    name: str
-    extent: int
-
-    def __post_init__(self):
-        if not isinstance(self.extent, int) or isinstance(self.extent, bool):
-            raise NetworkValidationError(f"extents.{self.name}", "extent must be an integer")
-        if self.extent < 1:
-            raise NetworkValidationError(f"extents.{self.name}", "extent must be >= 1")
-
-
-@dataclass(frozen=True)
 class TensorSig:
     """A tensor's id and ordered index names (no data, just the signature)."""
 
@@ -63,14 +48,13 @@ class TensorSig:
     indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        seen = set()
-        for ix in self.indices:
-            if ix in seen:
-                raise TraceError(
-                    f"tensor {self.id} repeats index '{ix}'; internal traces are not supported"
-                )
-            seen.add(ix)
+        indices = tuple(self.indices)
+        object.__setattr__(self, "indices", indices)
+        if len(set(indices)) < len(indices):
+            ix = next(ix for k, ix in enumerate(indices) if ix in indices[:k])
+            raise TraceError(
+                f"tensor {self.id} repeats index '{ix}'; internal traces are not supported"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,33 +79,32 @@ class TensorNetwork:
                 raise NetworkValidationError(
                     f"tensors[{pos}].id", f"tensor ids must be 0..n-1 in order, got {sig.id}"
                 )
-        named = set()
-        for sig in self.tensors:
-            named.update(sig.indices)
-        for ix in sorted(named):
-            if ix not in self.extents:
-                raise NetworkValidationError("extents", f"missing extent for index '{ix}'")
-        for ix in self.extents:
-            if ix not in named:
+        carriers = Counter(itertools.chain.from_iterable([sig.indices for sig in self.tensors]))
+        missing = carriers.keys() - self.extents.keys()
+        if missing:
+            raise NetworkValidationError("extents", f"missing extent for index '{min(missing)}'")
+        for ix, extent in self.extents.items():
+            if ix not in carriers:
                 raise NetworkValidationError(f"extents.{ix}", "extent for unknown index")
-            Index(ix, self.extents[ix])
+            if isinstance(extent, bool) or not isinstance(extent, int):
+                raise NetworkValidationError(f"extents.{ix}", "extent must be an integer")
+            if extent < 1:
+                raise NetworkValidationError(f"extents.{ix}", "extent must be >= 1")
         out_seen = set()
         for k, ix in enumerate(self.output):
-            if ix not in named:
+            if ix not in carriers:
                 raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' not on any tensor")
             if ix in out_seen:
                 raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' repeated")
             out_seen.add(ix)
-        carriers = Counter()
-        for sig in self.tensors:
-            carriers.update(sig.indices)
-        for pos, sig in enumerate(self.tensors):
-            for k, ix in enumerate(sig.indices):
-                if carriers[ix] == 1 and ix not in out_seen:
-                    raise NetworkValidationError(
-                        f"tensors[{pos}].indices[{k}]",
-                        f"index '{ix}' appears once and is not in the output (dangling)",
-                    )
+        if 1 in carriers.values():  # some index has one carrier: is it an output?
+            for pos, sig in enumerate(self.tensors):
+                for k, ix in enumerate(sig.indices):
+                    if carriers[ix] == 1 and ix not in out_seen:
+                        raise NetworkValidationError(
+                            f"tensors[{pos}].indices[{k}]",
+                            f"index '{ix}' appears once and is not in the output (dangling)",
+                        )
 
 
 def index_appearances(network):

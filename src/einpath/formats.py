@@ -29,6 +29,14 @@ def _need(doc, key, kind, location, kindname):
     return value
 
 
+def _check_names(where, indices):
+    for j, ix in enumerate(indices):
+        if not isinstance(ix, str) or not ix:
+            raise NetworkValidationError(
+                f"{where}.indices[{j}]", "index names are non-empty strings"
+            )
+
+
 def network_to_document(network):
     return {
         "tensors": [
@@ -57,11 +65,7 @@ def document_to_network(doc):
             raise NetworkValidationError(where, "expected an object")
         tid = _need(entry, "id", int, where, "an integer")
         indices = _need(entry, "indices", list, where, "an array")
-        for j, ix in enumerate(indices):
-            if not isinstance(ix, str) or not ix:
-                raise NetworkValidationError(
-                    f"{where}.indices[{j}]", "index names are non-empty strings"
-                )
+        _check_names(where, indices)
         for key in entry:
             if key not in ("id", "indices"):
                 raise NetworkValidationError(f"{where}.{key}", "unexpected key")
@@ -70,24 +74,46 @@ def document_to_network(doc):
         except TraceError as exc:
             raise NetworkValidationError(f"{where}.indices", str(exc)) from exc
 
-    extents = {}
     for name, extent in extents_raw.items():
         if isinstance(extent, bool) or not isinstance(extent, int):
             raise NetworkValidationError(f"extents.{name}", "extents are integers")
-        extents[name] = extent
 
     for j, name in enumerate(output_raw):
         if not isinstance(name, str) or not name:
-            raise NetworkValidationError(
-                f"output[{j}]", "output entries are index names"
-            )
+            raise NetworkValidationError(f"output[{j}]", "output entries are index names")
 
-    return TensorNetwork(tuple(sigs), extents, tuple(output_raw))
+    return TensorNetwork(tuple(sigs), dict(extents_raw), tuple(output_raw))
+
+
+def _block(items, pad, brackets="[]"):
+    """json.dumps(indent=2) layout of encoded items, in a value on a line indented by pad."""
+    if not items:
+        return brackets
+    sep = ",\n  " + pad
+    return f"{brackets[0]}\n  {pad}{sep.join(items)}\n{pad}{brackets[1]}"
 
 
 def dumps_network(network):
-    """Canonical text: stable key order, extents sorted by name."""
-    return json.dumps(network_to_document(network), indent=2) + "\n"
+    """Canonical text, byte-identical to json.dumps(network_to_document(network),
+    indent=2) plus a newline; raises what loads_network would raise on that text."""
+    quote = json.encoder.encode_basestring_ascii
+    extents = network.extents
+    if "" in extents or {*map(type, extents)} - {str}:  # some name is not a non-empty str
+        for pos, sig in enumerate(network.tensors):
+            _check_names(f"tensors[{pos}]", sig.indices)
+    # an id equals its position (TensorNetwork checks it), written as the int json.dumps writes
+    tensors = [
+        f'{{\n      "id": {pos},\n      "indices": {_block(list(map(quote, sig.indices)), "      ")}\n    }}'
+        for pos, sig in enumerate(network.tensors)
+    ]
+    try:
+        entries = [f"{quote(ix)}: {int.__repr__(extents[ix])}" for ix in sorted(extents)]
+    except ValueError as exc:  # an extent past Python's integer digit limit
+        raise NetworkValidationError("$", str(exc)) from exc
+    return (
+        f'{{\n  "tensors": {_block(tensors, "  ")},\n  "extents": {_block(entries, "  ", "{}")},\n'
+        f'  "output": {_block(list(map(quote, network.output)), "  ")}\n}}\n'
+    )
 
 
 def loads_network(text):
@@ -106,16 +132,21 @@ def _loads(text):
 
 
 def path_to_document(path, report, optimizer, seed):
-    return {
-        "ssa_path": [[a, b] for a, b in path],
-        "cost": {
-            "flops": str(report.flops),
-            "peak_size": str(report.peak_size),
-            "write_volume": str(report.write_volume),
-        },
-        "optimizer": optimizer,
-        "seed": seed,
-    }
+    """The path document; raises what document_to_path would raise on it."""
+    costs = {}
+    for key in ("flops", "peak_size", "write_volume"):
+        try:
+            costs[key] = text = str(getattr(report, key))
+        except ValueError as exc:  # past Python's integer digit limit
+            raise MalformedPathError(f"cost.{key}: {exc}") from exc
+        if not (text.isascii() and text.isdigit()):
+            raise MalformedPathError(f"cost.{key} must be a decimal string")
+    if not isinstance(optimizer, str):
+        raise MalformedPathError("optimizer must be a string")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise MalformedPathError("seed must be an integer")
+    pairs = [[a, b] for a, b in path]
+    return {"ssa_path": pairs, "cost": costs, "optimizer": optimizer, "seed": seed}
 
 
 def document_to_path(doc):
@@ -158,7 +189,19 @@ def document_to_path(doc):
 
 
 def dumps_path(path, report, optimizer, seed):
-    return json.dumps(path_to_document(path, report, optimizer, seed), indent=2) + "\n"
+    """Byte-identical to json.dumps(path_to_document(...), indent=2) plus a
+    newline; raises what loads_path would raise on that text."""
+    doc = path_to_document(path, report, optimizer, seed)
+    try:
+        seed_text = int.__repr__(seed)
+    except ValueError as exc:  # past Python's integer digit limit
+        raise MalformedPathError(str(exc)) from exc
+    pairs = [f"[\n      {a},\n      {b}\n    ]" for a, b in doc["ssa_path"]]
+    costs = [f'"{key}": "{text}"' for key, text in doc["cost"].items()]
+    return (
+        f'{{\n  "ssa_path": {_block(pairs, "  ")},\n  "cost": {_block(costs, "  ", "{}")},\n'
+        f'  "optimizer": {json.encoder.encode_basestring_ascii(optimizer)},\n  "seed": {seed_text}\n}}\n'
+    )
 
 
 def loads_path(text):

@@ -13,7 +13,12 @@ from random import Random
 
 from einpath._util import derive_seed
 from einpath.core import EinExpr
-from einpath.errors import InvalidContractionError, MalformedPathError
+from einpath.errors import (
+    InvalidContractionError,
+    MalformedPathError,
+    NetworkValidationError,
+    TraceError,
+)
 from einpath.partition import _RESTARTS, _balance_bounds
 from einpath.search import _CLOCK_EVERY
 
@@ -714,3 +719,56 @@ def capped_dp_reference(space, items, metric, allow_outer, exclude_root_scalar, 
             break
         cap = min(cap * factor, bound) if cap < bound else cap * factor
     return best, target
+
+
+def validate_network_reference(tensors, extents, output):
+    """The TensorSig and TensorNetwork checks as they were first written:
+    one pass per check, sorted names, one extent record per index. `tensors`
+    is a sequence of (id, indices) pairs; raises what constructing the
+    network raises, in the same order."""
+    for tid, indices in tensors:
+        seen = set()
+        for ix in indices:
+            if ix in seen:
+                raise TraceError(
+                    f"tensor {tid} repeats index '{ix}'; internal traces are not supported"
+                )
+            seen.add(ix)
+    if not tensors:
+        raise NetworkValidationError("tensors", "network has no tensors")
+    for pos, (tid, _) in enumerate(tensors):
+        if tid != pos:
+            raise NetworkValidationError(
+                f"tensors[{pos}].id", f"tensor ids must be 0..n-1 in order, got {tid}"
+            )
+    named = set()
+    for _, indices in tensors:
+        named.update(indices)
+    for ix in sorted(named):
+        if ix not in extents:
+            raise NetworkValidationError("extents", f"missing extent for index '{ix}'")
+    for ix in extents:
+        if ix not in named:
+            raise NetworkValidationError(f"extents.{ix}", "extent for unknown index")
+        extent = extents[ix]
+        if not isinstance(extent, int) or isinstance(extent, bool):
+            raise NetworkValidationError(f"extents.{ix}", "extent must be an integer")
+        if extent < 1:
+            raise NetworkValidationError(f"extents.{ix}", "extent must be >= 1")
+    out_seen = set()
+    for k, ix in enumerate(output):
+        if ix not in named:
+            raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' not on any tensor")
+        if ix in out_seen:
+            raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' repeated")
+        out_seen.add(ix)
+    carriers = Counter()
+    for _, indices in tensors:
+        carriers.update(indices)
+    for pos, (_, indices) in enumerate(tensors):
+        for k, ix in enumerate(indices):
+            if carriers[ix] == 1 and ix not in out_seen:
+                raise NetworkValidationError(
+                    f"tensors[{pos}].indices[{k}]",
+                    f"index '{ix}' appears once and is not in the output (dangling)",
+                )

@@ -96,6 +96,17 @@ def test_malformed_cost_exit_code(flops, net_file, tmp_path, capsys):
     assert "cost.flops" in capsys.readouterr().err
 
 
+def test_cost_past_digit_limit_exit_code(tmp_path, capsys):
+    # two tensors sharing 900 indices of extent 100,000: flops is 10^4500
+    names = [f"i{k}" for k in range(900)]
+    net = TensorNetwork((TensorSig(0, names), TensorSig(1, names)), dict.fromkeys(names, 10**5), ())
+    src, out = tmp_path / "wide.json", tmp_path / "path.json"
+    src.write_text(dumps_network(net))
+    assert cli_main(["optimize", "--input", str(src), "--output", str(out)]) == 2
+    assert "cost.flops: Exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_is_gone(capsys):
     # perfbench/ is the one benchmark harness
     with pytest.raises(SystemExit) as info:

@@ -30,7 +30,7 @@ from einpath import (
     validate_tree,
 )
 from einpath.core import contraction_flops
-from oracles import ssa_to_tree_reference, validate_tree_reference
+from oracles import ssa_to_tree_reference, validate_network_reference, validate_tree_reference
 
 
 def test_worked_ordering_cost(closed6):
@@ -184,6 +184,93 @@ def test_network_validation():
         TensorNetwork((TensorSig(0, ("i",)),), {"i": 0}, ("i",))
     with pytest.raises(TraceError):
         TensorSig(0, ("i", "i"))
+
+
+def _validation_outcome(check):
+    """(type, location, message) of what `check` raises, or None."""
+    try:
+        check()
+    except EinPathError as exc:
+        return type(exc), getattr(exc, "location", None), str(exc)
+    return None
+
+
+def _assert_validates_like_reference(tensors, extents, output):
+    got = _validation_outcome(
+        lambda: TensorNetwork(tuple(TensorSig(t, ixs) for t, ixs in tensors), extents, output)
+    )
+    want = _validation_outcome(lambda: validate_network_reference(tensors, extents, output))
+    assert got == want
+    return got
+
+
+_AB = ((0, ("a", "b")), (1, ("a", "b")))
+
+
+@pytest.mark.parametrize("tensors, extents, output", [
+    # one fault per check
+    (((0, ("a", "b", "a")),), {"a": 2, "b": 2}, ("a", "b")),
+    ((), {}, ()),
+    (((0, ("a",)), (2, ("a",))), {"a": 2}, ()),
+    (_AB, {"a": 2}, ()),
+    (_AB, {"a": 2, "b": 2, "z": 3}, ()),
+    (_AB, {"a": 2, "b": 2.0}, ()),
+    (_AB, {"a": True, "b": 2}, ()),
+    (_AB, {"a": 2, "b": "2"}, ()),
+    (_AB, {"a": 2, "b": 0}, ()),
+    (_AB, {"a": -3, "b": 2}, ()),
+    (_AB, {"a": 2, "b": 2}, ("z",)),
+    (_AB, {"a": 2, "b": 2}, ("a", "a")),
+    (((0, ("a", "x")), (1, ("a",))), {"a": 2, "x": 2}, ()),
+    # several faults at once: the first check in order wins
+    (((1, ("a", "a")),), {}, ("z",)),
+    (((0, ("a",)), (1, ("b", "c", "c", "b"))), {}, ()),
+    (((0, ("a",)), (5, ("b",))), {}, ()),
+    (((0, ("q", "b", "m")), (1, ("q", "b", "m"))), {"z": 1}, ()),
+    (_AB, {"b": 0, "z": 2}, ("z",)),
+    (_AB, {"z": 2, "a": 0, "b": 2}, ()),
+    (_AB, {"a": 0, "z": 2, "b": 2}, ()),
+    (_AB, {"a": 2, "b": 1.5}, ("q", "q")),
+    (_AB, {"a": 2, "b": 2}, ("a", "z", "a")),
+    (((0, ("a", "x")), (1, ("a", "y"))), {"a": 2, "x": 2, "y": 2}, ("x", "x")),
+    (((0, ("a", "x")), (1, ("a", "y"))), {"a": 2, "x": 2, "y": 2}, ()),
+    (((0, ("a", "o")), (1, ("a", "d"))), {"a": 2, "o": 2, "d": 2}, ("o",)),
+])
+def test_network_validation_matches_reference(tensors, extents, output):
+    assert _assert_validates_like_reference(tensors, extents, output) is not None
+
+
+@st.composite
+def _networks_with_faults(draw):
+    """(tensors, extents, output) of small networks that are mostly valid:
+    each check fails with small odds, so faults also come several at once."""
+    def rare():
+        return draw(st.integers(0, 11)) == 5
+
+    tensors = []
+    for pos in range(draw(st.integers(0 if rare() else 1, 4))):
+        ixs = draw(st.lists(st.sampled_from("abcd"), max_size=3, unique=True))
+        if ixs and rare():
+            ixs.append(ixs[0])
+        tensors.append((pos + 1 if rare() else pos, tuple(ixs)))
+    named = draw(st.permutations(sorted({ix for _, ixs in tensors for ix in ixs})))
+    extents = {}
+    for ix in list(named) + (["z"] if rare() else []):
+        if not rare():
+            extents[ix] = draw(st.one_of(st.booleans(), st.just(2.0), st.integers(-1, 0))) \
+                if rare() else draw(st.integers(1, 3))
+    once = [ix for ix in named if sum(ix in ixs for _, ixs in tensors) == 1]
+    output = [ix for ix in named if (ix in once) != rare()]
+    if rare():
+        output.append(draw(st.sampled_from(["z", *named])))
+    return tuple(tensors), extents, tuple(draw(st.permutations(output)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_networks_with_faults())
+def test_network_validation_matches_reference_random(case):
+    tensors, extents, output = case
+    _assert_validates_like_reference(tensors, extents, output)
 
 
 def test_intermediates_equal_negative(closed6):

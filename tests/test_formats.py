@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import EQUATION, EXTENTS
 from einpath import (
@@ -8,6 +11,8 @@ from einpath import (
     MalformedPathError,
     SearchConfig,
     SsaPath,
+    TensorNetwork,
+    TensorSig,
     TraceError,
     document_to_network,
     document_to_path,
@@ -69,6 +74,123 @@ def test_dumps_network_canonical():
         '}\n'
     )
     assert dumps_network(net) == expected
+
+
+# Names that json.dumps escapes: a quote, a backslash, control characters,
+# non-ASCII (one outside the BMP, written as a surrogate pair), a lone surrogate.
+_ODD_NAMES = ('q"', "b\\s", "\x00", "\n\t", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800")
+
+
+def _network_oracle(net):
+    return json.dumps(network_to_document(net), indent=2) + "\n"
+
+
+def _path_oracle(*args):
+    return json.dumps(path_to_document(*args), indent=2) + "\n"
+
+
+@st.composite
+def _named_networks(draw):
+    """Valid networks over arbitrary non-empty names and extents up to 2^80;
+    an index on one tensor is always an output."""
+    names = draw(st.lists(st.one_of(st.sampled_from(_ODD_NAMES), st.text(min_size=1, max_size=4)),
+                          unique=True, max_size=6))
+    n = draw(st.integers(1, 4))
+    tensors = [[] for _ in range(n)]
+    extents = {}
+    output = []
+    for name in names:
+        members = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+        for t in members:
+            tensors[t].append(name)
+        extents[name] = draw(st.integers(1, 2**80))
+        if len(members) == 1 or draw(st.booleans()):
+            output.append(name)
+    sigs = tuple(TensorSig(t, tuple(draw(st.permutations(ixs)))) for t, ixs in enumerate(tensors))
+    return TensorNetwork(sigs, extents, tuple(draw(st.permutations(output))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=_named_networks())
+def test_dumps_network_is_json_dumps(net):
+    text = dumps_network(net)
+    assert text == _network_oracle(net)
+    assert loads_network(text) == net
+
+
+@pytest.mark.parametrize("net", [
+    TensorNetwork((TensorSig(0, ()),), {}, ()),
+    TensorNetwork((TensorSig(0, _ODD_NAMES), TensorSig(1, _ODD_NAMES[::-1])),
+                  dict.fromkeys(_ODD_NAMES, 2**70), ()),
+    TensorNetwork((TensorSig(0, ("a", "\u00e9")), TensorSig(1, ("a",))), {"a": 2, "\u00e9": 3},
+                  ("\u00e9",)),
+], ids=["one-tensor-no-indices", "escaped-names-closed", "non-ascii-output"])
+def test_dumps_network_edge_cases(net):
+    assert dumps_network(net) == _network_oracle(net)
+    assert loads_network(dumps_network(net)) == net
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=5),
+    costs=st.tuples(*[st.integers(0, 10**60)] * 3),
+    optimizer=st.one_of(st.sampled_from(_ODD_NAMES), st.text()),
+    seed=st.integers(-(10**40), 10**40),
+)
+def test_dumps_path_is_json_dumps(pairs, costs, optimizer, seed):
+    path, report = SsaPath(tuple(pairs)), CostReport(*costs)
+    text = dumps_path(path, report, optimizer, seed)
+    assert text == _path_oracle(path, report, optimizer, seed)
+    assert loads_path(text) == (path, report, optimizer, seed)
+
+
+@pytest.mark.parametrize("seed", [0, -1, -(2**63), 2**64, 10**100])
+def test_dumps_path_empty_path_and_extreme_seeds(seed):
+    path, report = SsaPath(()), CostReport(0, 0, 1)
+    text = dumps_path(path, report, "", seed)
+    assert text == _path_oracle(path, report, "", seed)
+    assert '"ssa_path": [],' in text
+    assert loads_path(text) == (path, report, "", seed)
+
+
+@pytest.mark.parametrize("tensors, extents, output, location", [
+    ((TensorSig(0, (1, 2)), TensorSig(1, (1, 2))), {1: 2, 2: 3}, (), "tensors[0].indices[0]"),
+    ((TensorSig(0, ("a",)), TensorSig(1, ("a", ""))), {"a": 2, "": 3}, ("",),
+     "tensors[1].indices[1]"),
+    ((TensorSig(0, ("a", "b")), TensorSig(1, ("a", "b", 7))), {"a": 2, "b": 2, 7: 2}, (7,),
+     "tensors[1].indices[2]"),
+], ids=["int-names", "empty-name", "mixed-names"])
+def test_dumps_network_refuses_unloadable_names(tensors, extents, output, location):
+    net = TensorNetwork(tensors, extents, output)
+    with pytest.raises(NetworkValidationError) as info:
+        dumps_network(net)
+    assert (info.value.location, info.value.reason) == (location, "index names are non-empty strings")
+    if location != "tensors[1].indices[2]":  # json.dumps cannot sort mixed names at all
+        with pytest.raises(NetworkValidationError) as loaded:
+            loads_network(_network_oracle(net))
+        assert (loaded.value.location, loaded.value.reason) == (location, info.value.reason)
+
+
+def test_dumps_network_refuses_extent_past_digit_limit():
+    net = TensorNetwork((TensorSig(0, ("a",)), TensorSig(1, ("a",))), {"a": 10**4500}, ())
+    with pytest.raises(NetworkValidationError, match="4300") as info:
+        dumps_network(net)
+    assert info.value.location == "$"  # where loads_network puts its digit-limit refusal
+
+
+@pytest.mark.parametrize("report, optimizer, seed, message", [
+    (CostReport(10**4500, 16, 41), "greedy", 0, "cost.flops: Exceeds"),
+    (CostReport(104, 16, 10**4500), "greedy", 0, "cost.write_volume: Exceeds"),
+    (CostReport(104, -16, 41), "greedy", 0, "cost.peak_size must be a decimal string"),
+    (CostReport(104, 16, 41), None, 0, "optimizer must be a string"),
+    (CostReport(104, 16, 41), "greedy", True, "seed must be an integer"),
+    (CostReport(104, 16, 41), "greedy", 2.0, "seed must be an integer"),
+    (CostReport(104, 16, 41), "greedy", 10**4500, "Exceeds the limit"),
+], ids=["flops-digits", "write-digits", "negative", "optimizer", "seed-true", "seed-float",
+        "seed-digits"])
+def test_dumps_path_refuses_what_loads_path_refuses(report, optimizer, seed, message):
+    with pytest.raises(MalformedPathError, match=message):
+        dumps_path(SsaPath(((0, 1),)), report, optimizer, seed)
 
 
 @pytest.mark.parametrize("mutate, location", [
