@@ -50,7 +50,11 @@ class TensorSig:
     def __post_init__(self):
         indices = tuple(self.indices)
         object.__setattr__(self, "indices", indices)
-        if len(set(indices)) < len(indices):
+        try:
+            repeated = len(set(indices)) < len(indices)
+        except TypeError:  # an unhashable name, which TensorNetwork refuses
+            return
+        if repeated:
             ix = next(ix for k, ix in enumerate(indices) if ix in indices[:k])
             raise TraceError(
                 f"tensor {self.id} repeats index '{ix}'; internal traces are not supported"
@@ -61,8 +65,10 @@ class TensorSig:
 class TensorNetwork:
     """A set of tensor signatures, an extents map and the output indices.
 
-    Tensor ids must be exactly 0..n-1 in list order, so that SSA input ids,
-    list positions and tensor ids all coincide.
+    Tensor ids must be exactly the ints 0..n-1 in list order, so that SSA
+    input ids, list positions and tensor ids all coincide. Index names are
+    non-empty strs and extents ints >= 1. Checks run over whole collections;
+    only a failing one scans per tensor, to find the location.
     """
 
     tensors: tuple
@@ -74,25 +80,41 @@ class TensorNetwork:
         object.__setattr__(self, "output", tuple(self.output))
         if not self.tensors:
             raise NetworkValidationError("tensors", "network has no tensors")
-        for pos, sig in enumerate(self.tensors):
-            if sig.id != pos:
-                raise NetworkValidationError(
-                    f"tensors[{pos}].id", f"tensor ids must be 0..n-1 in order, got {sig.id}"
-                )
-        carriers = Counter(itertools.chain.from_iterable([sig.indices for sig in self.tensors]))
-        missing = carriers.keys() - self.extents.keys()
+        ids = [sig.id for sig in self.tensors]
+        if ids != [*range(len(ids))] or {*map(type, ids)} != {int}:
+            pos = next(p for p, tid in enumerate(ids) if type(tid) is not int or tid != p)
+            raise NetworkValidationError(
+                f"tensors[{pos}].id", f"tensor ids must be 0..n-1 in order, got {ids[pos]}"
+            )
+        try:
+            carriers = Counter(itertools.chain.from_iterable([sig.indices for sig in self.tensors]))
+            named = "" not in carriers and not {*map(type, carriers)} - {str}
+        except TypeError:  # an unhashable name
+            named = False
+        if not named:
+            pos, k = next((pos, k) for pos, sig in enumerate(self.tensors)
+                          for k, ix in enumerate(sig.indices) if type(ix) is not str or not ix)
+            raise NetworkValidationError(f"tensors[{pos}].indices[{k}]",
+                                         "index names are non-empty strings")
+        extents = self.extents
+        missing = carriers.keys() - extents.keys()
         if missing:
             raise NetworkValidationError("extents", f"missing extent for index '{min(missing)}'")
-        for ix, extent in self.extents.items():
-            if ix not in carriers:
-                raise NetworkValidationError(f"extents.{ix}", "extent for unknown index")
-            if isinstance(extent, bool) or not isinstance(extent, int):
-                raise NetworkValidationError(f"extents.{ix}", "extent must be an integer")
-            if extent < 1:
-                raise NetworkValidationError(f"extents.{ix}", "extent must be >= 1")
+        if (
+            len(extents) != len(carriers)
+            or {*map(type, extents.values())} - {int}
+            or min(extents.values(), default=1) < 1
+        ):
+            for ix, extent in extents.items():
+                if ix not in carriers:
+                    raise NetworkValidationError(f"extents.{ix}", "extent for unknown index")
+                if isinstance(extent, bool) or not isinstance(extent, int):
+                    raise NetworkValidationError(f"extents.{ix}", "extent must be an integer")
+                if extent < 1:
+                    raise NetworkValidationError(f"extents.{ix}", "extent must be >= 1")
         out_seen = set()
         for k, ix in enumerate(self.output):
-            if ix not in carriers:
+            if type(ix) is not str or ix not in carriers:  # a non-str may be unhashable
                 raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' not on any tensor")
             if ix in out_seen:
                 raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' repeated")
@@ -305,13 +327,14 @@ class SsaPath:
     """A contraction order as a flat list of SSA id pairs.
 
     Ids 0..n-1 are the input tensors in network order; each contraction
-    appends a fresh id. Pairs keep the branch argument order.
+    appends a fresh id. Pairs keep the branch argument order. Ids are kept
+    as given, never converted: `ssa_to_tree` refuses one that is not an int.
     """
 
     pairs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
+        object.__setattr__(self, "pairs", tuple((a, b) for a, b in self.pairs))
 
     def __iter__(self):
         return iter(self.pairs)
@@ -398,7 +421,7 @@ def ssa_to_tree(path, network):
         except (TypeError, ValueError):
             raise MalformedPathError(f"pair {step} is not a pair: {pair!r}") from None
         for x in (a, b):
-            if not isinstance(x, int) or not 0 <= x < next_id:
+            if type(x) is not int or not 0 <= x < next_id:
                 raise MalformedPathError(f"pair {step} references unknown id {x}")
         if a == b:
             raise MalformedPathError(f"pair {step} contracts id {a} with itself")

@@ -29,14 +29,6 @@ def _need(doc, key, kind, location, kindname):
     return value
 
 
-def _check_names(where, indices):
-    for j, ix in enumerate(indices):
-        if not isinstance(ix, str) or not ix:
-            raise NetworkValidationError(
-                f"{where}.indices[{j}]", "index names are non-empty strings"
-            )
-
-
 def network_to_document(network):
     return {
         "tensors": [
@@ -48,7 +40,10 @@ def network_to_document(network):
 
 
 def document_to_network(doc):
-    """Build a network from its JSON document, pointing at whatever is wrong."""
+    """Build a network from its JSON document, pointing at whatever is wrong.
+
+    Only the document's shape is checked here; TensorNetwork checks ids,
+    names, extents and output."""
     if not isinstance(doc, dict):
         raise NetworkValidationError("$", "document must be an object")
     for key in doc:
@@ -65,7 +60,6 @@ def document_to_network(doc):
             raise NetworkValidationError(where, "expected an object")
         tid = _need(entry, "id", int, where, "an integer")
         indices = _need(entry, "indices", list, where, "an array")
-        _check_names(where, indices)
         for key in entry:
             if key not in ("id", "indices"):
                 raise NetworkValidationError(f"{where}.{key}", "unexpected key")
@@ -73,15 +67,6 @@ def document_to_network(doc):
             sigs.append(TensorSig(tid, tuple(indices)))
         except TraceError as exc:
             raise NetworkValidationError(f"{where}.indices", str(exc)) from exc
-
-    for name, extent in extents_raw.items():
-        if isinstance(extent, bool) or not isinstance(extent, int):
-            raise NetworkValidationError(f"extents.{name}", "extents are integers")
-
-    for j, name in enumerate(output_raw):
-        if not isinstance(name, str) or not name:
-            raise NetworkValidationError(f"output[{j}]", "output entries are index names")
-
     return TensorNetwork(tuple(sigs), dict(extents_raw), tuple(output_raw))
 
 
@@ -98,9 +83,6 @@ def dumps_network(network):
     indent=2) plus a newline; raises what loads_network would raise on that text."""
     quote = json.encoder.encode_basestring_ascii
     extents = network.extents
-    if "" in extents or {*map(type, extents)} - {str}:  # some name is not a non-empty str
-        for pos, sig in enumerate(network.tensors):
-            _check_names(f"tensors[{pos}]", sig.indices)
     # an id equals its position (TensorNetwork checks it), written as the int json.dumps writes
     tensors = [
         f'{{\n      "id": {pos},\n      "indices": {_block(list(map(quote, sig.indices)), "      ")}\n    }}'
@@ -131,61 +113,55 @@ def _loads(text):
         raise NetworkValidationError("$", str(exc)) from exc
 
 
-def path_to_document(path, report, optimizer, seed):
-    """The path document; raises what document_to_path would raise on it."""
-    costs = {}
-    for key in ("flops", "peak_size", "write_volume"):
-        try:
-            costs[key] = text = str(getattr(report, key))
-        except ValueError as exc:  # past Python's integer digit limit
-            raise MalformedPathError(f"cost.{key}: {exc}") from exc
-        if not (text.isascii() and text.isdigit()):
-            raise MalformedPathError(f"cost.{key} must be a decimal string")
-    if not isinstance(optimizer, str):
-        raise MalformedPathError("optimizer must be a string")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise MalformedPathError("seed must be an integer")
-    pairs = [[a, b] for a, b in path]
-    return {"ssa_path": pairs, "cost": costs, "optimizer": optimizer, "seed": seed}
-
-
-def document_to_path(doc):
-    """Returns (SsaPath, CostReport, optimizer, seed); costs come back as ints."""
+def _check_path(doc):
+    """The path document's rule, for its writer and its loader alike: pairs of
+    ints, decimal cost strings, a string optimizer and an int seed."""
     if not isinstance(doc, dict):
         raise MalformedPathError("path document must be an object")
-    raw = doc.get("ssa_path")
-    if not isinstance(raw, list):
+    pairs = doc.get("ssa_path")
+    if not isinstance(pairs, list):
         raise MalformedPathError("ssa_path must be an array of pairs")
-    pairs = []
-    for pos, item in enumerate(raw):
-        ok = (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        )
-        if not ok:
+    for pos, item in enumerate(pairs):
+        if type(item) is not list or len(item) != 2 or not type(item[0]) is type(item[1]) is int:
             raise MalformedPathError(f"ssa_path[{pos}] is not a pair of integers")
-        pairs.append((item[0], item[1]))
     costs = doc.get("cost")
     if not isinstance(costs, dict):
         raise MalformedPathError("cost must be an object")
-    values = {}
     for key in ("flops", "peak_size", "write_volume"):
         text = costs.get(key)
         # decimal strings keep arbitrarily large counts exact in JSON
         if not isinstance(text, str) or not (text.isascii() and text.isdigit()):
             raise MalformedPathError(f"cost.{key} must be a decimal string")
-        try:
-            values[key] = int(text)
-        except ValueError as exc:
-            raise MalformedPathError(f"cost.{key}: {exc}") from exc
-    optimizer = doc.get("optimizer")
-    if not isinstance(optimizer, str):
+    if not isinstance(doc.get("optimizer"), str):
         raise MalformedPathError("optimizer must be a string")
-    seed = doc.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if type(doc.get("seed")) is not int:
         raise MalformedPathError("seed must be an integer")
-    return SsaPath(tuple(pairs)), CostReport(**values), optimizer, seed
+
+
+def path_to_document(path, report, optimizer, seed):
+    """The path document; raises what document_to_path would raise on it."""
+    costs = {}
+    for key in ("flops", "peak_size", "write_volume"):
+        try:
+            costs[key] = str(getattr(report, key))
+        except ValueError as exc:  # past Python's integer digit limit
+            raise MalformedPathError(f"cost.{key}: {exc}") from exc
+    pairs = [[a, b] for a, b in path]
+    doc = {"ssa_path": pairs, "cost": costs, "optimizer": optimizer, "seed": seed}
+    _check_path(doc)
+    return doc
+
+
+def document_to_path(doc):
+    """Returns (SsaPath, CostReport, optimizer, seed); costs come back as ints."""
+    _check_path(doc)
+    values = {}
+    for key in ("flops", "peak_size", "write_volume"):
+        try:
+            values[key] = int(doc["cost"][key])
+        except ValueError as exc:  # past Python's integer digit limit
+            raise MalformedPathError(f"cost.{key}: {exc}") from exc
+    return SsaPath(doc["ssa_path"]), CostReport(**values), doc["optimizer"], doc["seed"]
 
 
 def dumps_path(path, report, optimizer, seed):

@@ -727,6 +727,10 @@ def validate_network_reference(tensors, extents, output):
     is a sequence of (id, indices) pairs; raises what constructing the
     network raises, in the same order."""
     for tid, indices in tensors:
+        try:
+            hash(tuple(indices))
+        except TypeError:
+            continue  # an unhashable name: the name check refuses it
         seen = set()
         for ix in indices:
             if ix in seen:
@@ -737,10 +741,16 @@ def validate_network_reference(tensors, extents, output):
     if not tensors:
         raise NetworkValidationError("tensors", "network has no tensors")
     for pos, (tid, _) in enumerate(tensors):
-        if tid != pos:
+        if type(tid) is not int or tid != pos:
             raise NetworkValidationError(
                 f"tensors[{pos}].id", f"tensor ids must be 0..n-1 in order, got {tid}"
             )
+    for pos, (_, indices) in enumerate(tensors):
+        for k, ix in enumerate(indices):
+            if type(ix) is not str or not ix:
+                raise NetworkValidationError(
+                    f"tensors[{pos}].indices[{k}]", "index names are non-empty strings"
+                )
     named = set()
     for _, indices in tensors:
         named.update(indices)
@@ -757,7 +767,7 @@ def validate_network_reference(tensors, extents, output):
             raise NetworkValidationError(f"extents.{ix}", "extent must be >= 1")
     out_seen = set()
     for k, ix in enumerate(output):
-        if ix not in named:
+        if type(ix) is not str or ix not in named:
             raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' not on any tensor")
         if ix in out_seen:
             raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' repeated")

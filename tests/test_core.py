@@ -182,6 +182,10 @@ def test_network_validation():
         TensorNetwork((TensorSig(0, ("i",)),), {"i": 2}, ("z",))
     with pytest.raises(NetworkValidationError):  # extents are positive ints
         TensorNetwork((TensorSig(0, ("i",)),), {"i": 0}, ("i",))
+    with pytest.raises(NetworkValidationError):  # ids are ints, not bools or floats
+        TensorNetwork((TensorSig(False, ("i",)),), {"i": 2}, ("i",))
+    with pytest.raises(NetworkValidationError):  # names are non-empty strs
+        TensorNetwork((TensorSig(0, ("",)),), {"": 2}, ("",))
     with pytest.raises(TraceError):
         TensorSig(0, ("i", "i"))
 
@@ -235,6 +239,16 @@ _AB = ((0, ("a", "b")), (1, ("a", "b")))
     (((0, ("a", "x")), (1, ("a", "y"))), {"a": 2, "x": 2, "y": 2}, ("x", "x")),
     (((0, ("a", "x")), (1, ("a", "y"))), {"a": 2, "x": 2, "y": 2}, ()),
     (((0, ("a", "o")), (1, ("a", "d"))), {"a": 2, "o": 2, "d": 2}, ("o",)),
+    # ids that equal their position without being ints, and names no document carries
+    (((False, ("a",)), (1, ("a",))), {"a": 2}, ()),
+    (((0, ("a",)), (True, ("a",))), {"a": 2}, ()),
+    (((0, ("a",)), (1.0, ("a",))), {"a": 2}, ()),
+    (((0, ("a", 7)), (1, ("a", 7))), {"a": 2, 7: 2}, ()),
+    (((0, ("a", "")), (1, ("a", ""))), {"a": 2, "": 2}, ()),
+    (((0, ("a",)), (1, ("a", ["b"], "a"))), {"a": 2}, ()),
+    (_AB, {"a": 2, "b": 2}, ("a", ["b"])),
+    (_AB, {"a": 2, "b": 2}, (("a",),)),
+    (((1.0, ("a", ["b"])),), {}, ()),
 ])
 def test_network_validation_matches_reference(tensors, extents, output):
     assert _assert_validates_like_reference(tensors, extents, output) is not None
@@ -252,7 +266,8 @@ def _networks_with_faults(draw):
         ixs = draw(st.lists(st.sampled_from("abcd"), max_size=3, unique=True))
         if ixs and rare():
             ixs.append(ixs[0])
-        tensors.append((pos + 1 if rare() else pos, tuple(ixs)))
+        bad_ids = [pos + 1, float(pos)] + ([bool(pos)] if pos < 2 else [])
+        tensors.append((draw(st.sampled_from(bad_ids)) if rare() else pos, tuple(ixs)))
     named = draw(st.permutations(sorted({ix for _, ixs in tensors for ix in ixs})))
     extents = {}
     for ix in list(named) + (["z"] if rare() else []):
@@ -262,7 +277,11 @@ def _networks_with_faults(draw):
     once = [ix for ix in named if sum(ix in ixs for _, ixs in tensors) == 1]
     output = [ix for ix in named if (ix in once) != rare()]
     if rare():
-        output.append(draw(st.sampled_from(["z", *named])))
+        output.append(draw(st.sampled_from(["z", "", 7, ["a"], *named])))
+    if tensors and rare():  # a name no document carries
+        pos = draw(st.integers(0, len(tensors) - 1))
+        tid, ixs = tensors[pos]
+        tensors[pos] = (tid, ixs + (draw(st.sampled_from(["", 7, True, ["a"]])),))
     return tuple(tensors), extents, tuple(draw(st.permutations(output)))
 
 

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from einpath import (
     network_to_document,
     parse_einsum,
     path_to_document,
+    ssa_to_tree,
 )
 from einpath.search import exhaustive_dfs
 
@@ -160,14 +162,16 @@ def test_dumps_path_empty_path_and_extreme_seeds(seed):
     ((TensorSig(0, ("a", "b")), TensorSig(1, ("a", "b", 7))), {"a": 2, "b": 2, 7: 2}, (7,),
      "tensors[1].indices[2]"),
 ], ids=["int-names", "empty-name", "mixed-names"])
-def test_dumps_network_refuses_unloadable_names(tensors, extents, output, location):
-    net = TensorNetwork(tensors, extents, output)
+def test_network_refuses_unloadable_names(tensors, extents, output, location):
+    """No network holds a name its document could not carry: the constructor
+    refuses it where the loader refuses the document json.dumps writes."""
     with pytest.raises(NetworkValidationError) as info:
-        dumps_network(net)
+        TensorNetwork(tensors, extents, output)
     assert (info.value.location, info.value.reason) == (location, "index names are non-empty strings")
     if location != "tensors[1].indices[2]":  # json.dumps cannot sort mixed names at all
+        unbuilt = SimpleNamespace(tensors=tensors, extents=extents, output=output)
         with pytest.raises(NetworkValidationError) as loaded:
-            loads_network(_network_oracle(net))
+            loads_network(_network_oracle(unbuilt))
         assert (loaded.value.location, loaded.value.reason) == (location, info.value.reason)
 
 
@@ -204,8 +208,11 @@ def test_dumps_path_refuses_what_loads_path_refuses(report, optimizer, seed, mes
     (lambda d: d["tensors"][0].update(indices=["a", "a"]), "tensors[0].indices"),
     (lambda d: d["extents"].update(b=True), "extents.b"),
     (lambda d: d["output"].__setitem__(0, 9), "output[0]"),
+    (lambda d: d["tensors"][1].update(indices=[["b"]]), "tensors[1].indices[0]"),
+    (lambda d: d.update(output=["a", {"a": 1}]), "output[1]"),
 ])
 def test_network_validation_locations(mutate, location):
+    # unhashable names and output entries are refused there too, never a TypeError
     doc = _doc()
     mutate(doc)
     with pytest.raises(NetworkValidationError) as info:
@@ -252,6 +259,27 @@ def test_path_validation(mutate, message):
     mutate(doc)
     with pytest.raises(MalformedPathError, match=message):
         document_to_path(doc)
+
+
+@pytest.mark.parametrize("pairs", [
+    ((0.9, 1.7), ("3", 2)),
+    ((0.9, 4), (6, 5), (1, 2), (8, 3), (7, 9)),
+    (("3", 4), (6, 5), (1, 2), (8, 3), (7, 9)),
+    ((True, 4), (6, 5), (0, 2), (8, 3), (7, 9)),
+], ids=["floats-and-str", "float", "str", "bool"])
+def test_path_ids_are_checked_not_coerced(closed6, pairs):
+    path = SsaPath(pairs)
+    assert path.pairs[0][0] is pairs[0][0]  # kept as given, not converted
+    with pytest.raises(MalformedPathError, match="pair 0 references unknown id"):
+        ssa_to_tree(path, closed6)
+    for write in (path_to_document, dumps_path):
+        with pytest.raises(MalformedPathError, match="ssa_path\\[0\\] is not a pair of integers"):
+            write(path, CostReport(104, 16, 41), "greedy", 0)
+
+
+def test_ssa_path_refuses_three_element_pair():
+    with pytest.raises(ValueError):
+        SsaPath(((0, 1, 2),))
 
 
 @pytest.mark.parametrize("text, message", [
