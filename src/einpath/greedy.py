@@ -1,6 +1,6 @@
-"""Greedy contraction-order optimization with optional thermal sampling."""
+"""Greedy contraction-order optimization with optional thermal sampling by
+per-push Gumbel noise (Gray & Kourtis, Quantum 2021)."""
 
-import bisect
 import heapq
 import itertools
 import math
@@ -14,16 +14,14 @@ from .errors import EinPathError
 
 __all__ = ["GreedyConfig", "greedy", "sampled_greedy"]
 
-BOLTZMANN_POOL = 32  # candidates considered per thermal selection
-
 
 @dataclass(frozen=True)
 class GreedyConfig:
     """Knobs for the greedy optimizer.
 
-    temperature > 0 switches pair selection to Boltzmann sampling over the
-    current best candidates; samples > 1 repeats the whole run and keeps the
-    cheapest tree.
+    temperature > 0 (a finite int or float) samples pair selection from
+    the Boltzmann weights of the scores; samples > 1 repeats the whole run
+    and keeps the cheapest tree.
     """
 
     temperature: float = 0.0
@@ -31,10 +29,14 @@ class GreedyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise EinPathError("temperature must be >= 0")
-        if self.samples < 1:
-            raise EinPathError("samples must be >= 1")
+        t = self.temperature
+        # the bound is the largest finite float, so ints past it are refused too
+        if (isinstance(t, bool) or not isinstance(t, (int, float))
+                or not 0 <= t <= 2**1024 - 2**971):
+            raise EinPathError("temperature must be a finite number >= 0")
+        s = self.samples
+        if isinstance(s, bool) or not isinstance(s, int) or s < 1:
+            raise EinPathError("samples must be an integer >= 1")
 
 
 def _pop_best(heap, legs, extra):
@@ -47,46 +49,6 @@ def _pop_best(heap, legs, extra):
     if heap and (extra is None or heap[0] < extra):
         return heapq.heappop(heap)
     return extra
-
-
-def _thermal_pop(heap, pool, legs, temperature, rng, extra):
-    """Boltzmann-sample one of the best live candidates.
-
-    pool, kept by the caller between steps, holds the best live heap entries
-    in sorted order, at most BOLTZMANN_POOL of them. Each call drops its dead
-    entries, then refills it from the heap while it is short or the heap top
-    beats its worst entry, sending the overflow back to the heap, so it
-    holds the same entries as popping the heap's best live ones afresh
-    (heap entries are unique). `extra`, a candidate that is not on the heap,
-    joins the draw unless the pool already holds its pair; it never enters
-    the pool. The chosen entry leaves the pool.
-    """
-    pool[:] = [entry for entry in pool if entry[1] in legs and entry[2] in legs]
-    while heap and (len(pool) < BOLTZMANN_POOL or heap[0] < pool[-1]):
-        entry = heapq.heappop(heap)
-        if entry[1] in legs and entry[2] in legs:
-            bisect.insort(pool, entry)
-            if len(pool) > BOLTZMANN_POOL:
-                heapq.heappush(heap, pool.pop())
-    cands = pool
-    if extra is not None and all(entry[1:] != extra[1:] for entry in pool):
-        cands = pool.copy()
-        bisect.insort(cands, extra)
-    if not cands:
-        return None
-    chosen = 0
-    if len(cands) > 1:
-        base = cands[0][0]
-        cap = 700 * temperature
-        weights = [math.exp((base - s) / temperature) if s - base <= cap else 0.0
-                   for s, _, _ in cands]
-        r = rng.random() * sum(weights)
-        # the first entry whose running weight passes r, else the best
-        chosen = bisect.bisect_right(list(itertools.accumulate(weights)), r) % len(cands)
-    entry = cands[chosen]
-    if entry is not extra:
-        pool.remove(entry)
-    return entry
 
 
 def _two_smallest(by_size, legs):
@@ -105,10 +67,16 @@ def _greedy_path(network, temperature=0.0, rng=None):
     """Run one greedy pass; returns (ssa pairs, heap pushes, cost report).
 
     Terms carry per-index appearance counts so hyperedges survive until
-    their last two carriers meet. Candidate pairs live in a heap keyed by
-    (score, smaller id, larger id); stale entries are dropped lazily when
+    their last two carriers meet. Candidate pairs live in a heap of
+    (key, smaller id, larger id); stale entries are dropped lazily when
     popped. With no sharing pair left, the two smallest terms are contracted
     (outer products only happen between finished components).
+
+    At T = 0 the key is the score. At T > 0 it is score - T*G for a
+    Gumbel(0, 1) draw G made at push time: the first pick is an exact
+    Boltzmann draw (the Gumbel-max trick), later ones reuse their
+    candidates' draws. Keys stay integers: with T = m*2^e (frexp),
+    score*2^up + trunc(m*log(-log u)*2^53)*2^over, where up - over = 53 - e.
 
     Output indices carried by every input tensor (einsum batch indices; call
     them F, with extent product P) are never summed, so every pair shares
@@ -123,7 +91,9 @@ def _greedy_path(network, temperature=0.0, rng=None):
     and two forward-moving pointers to the lowest live ids, competes
     with the heap top each step; if it shares an index outside F as well,
     the heap already holds it, so the choice is the same as scoring every
-    pair. With temperature > 0 it joins the Boltzmann pool.
+    pair. At T > 0 it draws once, when it becomes the lazy pair, and not
+    at all when the heap holds it. It alone stands for the pairs sharing
+    only F.
 
     A new term is scored against all its neighbours in one walk over the
     carriers of its kept indices, one divisor per neighbour, the walk that
@@ -176,27 +146,44 @@ def _greedy_path(network, temperature=0.0, rng=None):
             while low2 not in legs:
                 low2 += 1
             a, b = (low, low2) if a == low else (low, a)
-        i, j = min(a, b), max(a, b)
-        return score(i, j), i, j
+        return min(a, b), max(a, b)
+
+    noisy = temperature > 0
+    if noisy:
+        m, e = math.frexp(temperature)
+        up, over = max(0, 53 - e), max(0, e - 53)
+
+        def noise():
+            # -T*G scaled by 2^up; u = 0.0 would make -log u infinite
+            u = rng.random() or 2.0 ** -53
+            return int(m * math.log(-math.log(u)) * 2.0 ** 53) << over
 
     seen = set()
     for ix in sorted(carriers.keys() - carried):
         for i, j in itertools.combinations(sorted(carriers[ix]), 2):
             if (i, j) not in seen:
                 seen.add((i, j))
-                heapq.heappush(heap, (score(i, j), i, j))
+                s = score(i, j)
+                if noisy:
+                    s = (s << up) + noise()
+                heapq.heappush(heap, (s, i, j))
     pushes = len(seen)
 
     pairs = []
-    pool = []
+    lazy = extra = None  # the lazy pair, and its entry while it stays that pair
     flops = peak = write = 0
     next_id = n
     while len(legs) > 1:
-        lazy = lazy_pair() if carried else None
-        if temperature > 0:
-            entry = _thermal_pop(heap, pool, legs, temperature, rng, lazy)
-        else:
-            entry = _pop_best(heap, legs, lazy)
+        if carried:
+            pair = lazy_pair()
+            if pair != lazy:
+                lazy = i, j = pair
+                s = score(i, j)
+                extra = (s, i, j)
+                if noisy:
+                    shared = any(ix in legs[j] for ix in legs[i] if ix not in carried)
+                    extra = None if shared else ((s << up) + noise(), i, j)
+        entry = _pop_best(heap, legs, extra)
         if entry is None:
             # disconnected remainder: fold the two smallest results together
             (_, i), (_, j) = _two_smallest(by_size, legs)
@@ -248,7 +235,10 @@ def _greedy_path(network, temperature=0.0, rng=None):
                     div[b] = div.get(b, unit) * (e * e if legs[b][ix] == rest else e)
             group.add(k)
         for b in sorted(div):
-            heapq.heappush(heap, (sizes[b] * size // div[b] - sizes[b] - size, b, k))
+            s = sizes[b] * size // div[b] - sizes[b] - size
+            if noisy:
+                s = (s << up) + noise()
+            heapq.heappush(heap, (s, b, k))
         pushes += len(div)
         heapq.heappush(by_size, (size, k))
         pairs.append((i, j))

@@ -39,12 +39,13 @@ class PartitionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.imbalance < 0.5:
+        im = self.imbalance
+        if isinstance(im, bool) or not isinstance(im, (int, float)) or not 0 <= im < 0.5:
             raise EinPathError("imbalance must lie in [0, 0.5)")
-        if self.cutoff < 2:
-            raise EinPathError("cutoff must be >= 2")
-        if self.fm_passes < 1:
-            raise EinPathError("fm_passes must be >= 1")
+        for name, least in (("cutoff", 2), ("fm_passes", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise EinPathError(f"{name} must be an integer >= {least}")
         if self.leaf_optimizer not in _LEAVES:
             raise EinPathError(f"unknown leaf optimizer '{self.leaf_optimizer}'")
 

@@ -4,7 +4,6 @@ Everything here is written the slow, obvious way on purpose and avoids the
 package's own cost and search code, so agreement actually means something.
 """
 
-import bisect
 import heapq
 import math
 from collections import Counter, defaultdict
@@ -269,164 +268,6 @@ def greedy_reference(network):
         )
         pairs.append((a, b))
         next_id += 1
-    return tuple(pairs)
-
-
-def _thermal_pop_reference(heap, legs, temperature, rng, extra):
-    """Pop up to 32 live heap entries, Boltzmann-sample one and push the
-    others back; `extra` joins the pool unless it holds its pair."""
-    pool = []
-    while heap and len(pool) < 32:
-        entry = heapq.heappop(heap)
-        if entry[1] in legs and entry[2] in legs:
-            pool.append(entry)
-    if extra is not None and all(entry[1:] != extra[1:] for entry in pool):
-        bisect.insort(pool, extra)
-    if not pool:
-        return None
-    if len(pool) == 1:
-        return pool[0]
-    base = pool[0][0]
-    weights = []
-    for entry in pool:
-        d = entry[0] - base
-        weights.append(math.exp(-d / temperature) if d <= 700 * temperature else 0.0)
-    r = rng.random() * sum(weights)
-    chosen = 0
-    acc = 0.0
-    for k, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            chosen = k
-            break
-    entry = pool.pop(chosen)
-    for other in pool:
-        if other is not extra:
-            heapq.heappush(heap, other)
-    return entry
-
-
-def _two_smallest_reference(by_size, legs):
-    while by_size[0][1] not in legs:
-        heapq.heappop(by_size)
-    first = heapq.heappop(by_size)
-    while by_size[0][1] not in legs:
-        heapq.heappop(by_size)
-    second = by_size[0]
-    heapq.heappush(by_size, first)
-    return first, second
-
-
-def thermal_greedy_reference(network, temperature, rng):
-    """Thermal greedy that rebuilds its Boltzmann pool at every step.
-
-    The package's earlier pass, kept as it was: each step pops the 32 best
-    live candidates off the heap, samples one and pushes the rest back; new
-    pairs are scored by walking the smaller leg dict; the lazy pair over
-    indices on every tensor (all-carried outputs) joins the pool. Returns
-    the chronological SSA pair list.
-    """
-    appear = _appearances(network)
-    extents = network.extents
-
-    def prod(indices):
-        s = 1
-        for ix in indices:
-            s *= extents[ix]
-        return s
-
-    legs = {}
-    sizes = {}
-    carriers = {}
-    for sig in network.tensors:
-        legs[sig.id] = dict.fromkeys(sig.indices, 1)
-        sizes[sig.id] = prod(sig.indices)
-        for ix in sig.indices:
-            carriers.setdefault(ix, set()).add(sig.id)
-    n = len(network.tensors)
-    carried = frozenset(ix for ix in network.output if len(carriers[ix]) == n)
-    unit = prod(carried)
-    by_size = sorted((s, t) for t, s in sizes.items())
-    low = low2 = 0
-
-    def merge(i, j):
-        counts = dict(legs[i])
-        for ix, c in legs[j].items():
-            counts[ix] = counts.get(ix, 0) + c
-        kept = {}
-        size = 1
-        for ix, c in counts.items():
-            if c < appear[ix]:
-                kept[ix] = c
-                size *= extents[ix]
-        return kept, size
-
-    def score(i, j):
-        a, b = legs[i], legs[j]
-        if len(a) > len(b):
-            a, b = b, a
-        size = sizes[i] * sizes[j]
-        for ix, c in a.items():
-            d = b.get(ix)
-            if d is not None:
-                e = extents[ix]
-                size //= e * e if c + d == appear[ix] else e
-        return size - sizes[i] - sizes[j]
-
-    def lazy_pair():
-        nonlocal low, low2
-        (size, a), (_, b) = _two_smallest_reference(by_size, legs)
-        if size == unit:
-            while low not in legs:
-                low += 1
-            low2 = max(low2, low + 1)
-            while low2 not in legs:
-                low2 += 1
-            a, b = (low, low2) if a == low else (low, a)
-        i, j = min(a, b), max(a, b)
-        return score(i, j), i, j
-
-    heap = []
-    seen = set()
-    for ix in sorted(carriers.keys() - carried):
-        for i, j in combinations(sorted(carriers[ix]), 2):
-            if (i, j) not in seen:
-                seen.add((i, j))
-                heapq.heappush(heap, (score(i, j), i, j))
-    pairs = []
-    next_id = n
-    while len(legs) > 1:
-        lazy = lazy_pair() if carried else None
-        entry = _thermal_pop_reference(heap, legs, temperature, rng, lazy)
-        if entry is None:
-            (_, i), (_, j) = _two_smallest_reference(by_size, legs)
-            if i > j:
-                i, j = j, i
-        else:
-            _, i, j = entry
-        kept, size = merge(i, j)
-        k = next_id
-        next_id += 1
-        for t in (i, j):
-            for ix in legs[t]:
-                group = carriers[ix]
-                group.discard(t)
-                if not group:
-                    del carriers[ix]
-            del legs[t]
-            del sizes[t]
-        legs[k] = kept
-        sizes[k] = size
-        neighbours = set()
-        for ix in kept:
-            carriers.setdefault(ix, set()).add(k)
-            if ix not in carried:
-                neighbours |= carriers[ix]
-        neighbours.discard(k)
-        for b in sorted(neighbours):
-            heapq.heappush(heap, (score(b, k), b, k))
-        heapq.heappush(by_size, (size, k))
-        pairs.append((i, j))
     return tuple(pairs)
 
 

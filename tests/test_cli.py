@@ -152,6 +152,16 @@ def test_bad_init_exit_code(net_file, capsys):
     assert "--init takes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [
+    ["--temperature", "nan"], ["--temperature", "inf"], ["--temperature", "-1"],
+    ["--samples", "0"], ["--fm-passes", "0"],
+])
+def test_bad_config_exit_code(flag, net_file, capsys):
+    method = "partition" if flag[0] == "--fm-passes" else "sampled-greedy"
+    assert cli_main(["optimize", "--input", str(net_file), "--method", method] + flag) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_integer_init(net_file, capsys):
     assert cli_main(["optimize", "--input", str(net_file), "--method", "exhaustive-dfs",
                      "--init", "100000000"]) == 0

@@ -90,7 +90,7 @@ GOLDEN = {
     "exhaustive_bfs/peak_size/sharing": "0668f03a1fb1c325b8f61dbd7ac243dc9be6642d9fb03738db160f9145ed4395",
     "exhaustive_bfs/peak_size/outer": "d10714e6d08058ca4b711da81d446b61d1cb060cf10d7b8cf1d5f73b42761e09",
     "greedy": "9fc3cb3aa6129c92c35bdf78de25449deeba4cadb7723e3edc42d2a618f1ce33",
-    "sampled_greedy/thermal": "3f8264c9f750d091eb126953cd072999c4a5cc8ee233562c5964657f61fd6f3b",
+    "sampled_greedy/thermal": "d9a54ab27fa7972b56cee130bcc061b2058dc0bec7b911b99a8af37a22feddcb",
     "partition/exhaustive_dfs": "b14388a2c1b866fcdf108004918f0435dd237fa9b3851a7c46a21fc20827b16d",
     "partition/greedy": "628b17aa82d9e81a7964c42b46d958894f98850f488033a1efac05242b942e6c",
 }

@@ -1,4 +1,6 @@
 import importlib
+import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -24,7 +26,7 @@ from einpath import (
 )
 from einpath.greedy import _greedy_path, _sample_runs
 from conftest import batched, disjoint_union, hyper_networks
-from oracles import greedy_reference, thermal_greedy_reference
+from oracles import greedy_reference
 
 greedy_module = importlib.import_module("einpath.greedy")  # the name einpath.greedy is the function
 
@@ -169,16 +171,73 @@ def test_determinism():
     second = sampled_greedy(net, config)
     assert tree_to_ssa(first[0]) == tree_to_ssa(second[0])
     assert first[1] == second[1]
+    # the seeded draws differ between samples, so the samples are not all alike
+    assert len({tuple(pairs) for _, pairs, _ in _sample_runs(net, config)}) >= 2
+
+
+_THREE = parse_einsum("ab,bc,cd->ad", {"a": 2, "b": 2, "c": 3, "d": 2})
+_CHAIN = parse_einsum("ab,bc,cd,de->ae", {"a": 2, "b": 3, "c": 4, "d": 2, "e": 3})
+
+
+@pytest.mark.parametrize("net, temperature", [(_THREE, 2.0), (_THREE, 8.0), (_CHAIN, 8.0)])
+def test_first_pick_is_a_boltzmann_draw(net, temperature):
+    # by the Gumbel-max trick the first pick is a candidate with probability
+    # proportional to e^(-score/T): _THREE scores -4 and -8, _CHAIN -10,
+    # -14 and -2, and with three candidates a noise of the wrong sign shows
+    runs = 4000
+    firsts = Counter(_greedy_path(net, temperature, Random(seed))[0][0] for seed in range(runs))
+    weights = {(i, i + 1): math.exp(-_score(net, i, i + 1) / temperature)
+               for i in range(len(net.tensors) - 1)}
+    assert firsts.keys() <= weights.keys()
+    for pair, w in weights.items():
+        p = w / sum(weights.values())
+        assert abs(firsts[pair] / runs - p) <= 3 * math.sqrt(p * (1 - p) / runs)
+
+
+class _Draws(Random):
+    """A generator whose every uniform draw is `value`."""
+
+    def __init__(self, value):
+        super().__init__(0)
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-300, 0.5, 1e300, 2**1024 - 2**971, 10**300])
+@pytest.mark.parametrize("u", [0.0, 0.5, 1 - 2**-53])
+def test_noise_never_raises(temperature, u):
+    # u = 0.0 and u just below 1 are the ends of the Gumbel draw; tiny and
+    # huge temperatures shift the integer keys far either way
+    net = batched(generate(GenConfig(n_tensors=12, regularity=3.0, extent_min=2,
+                                     extent_max=4, seed=4)), (3,))
+    pairs, _, report = _greedy_path(net, temperature, _Draws(u))
+    assert report == cost(ssa_to_tree(SsaPath(pairs), net), net.extents)
 
 
 def test_config_validation():
     with pytest.raises(TypeError):
         GreedyConfig(score="flops")  # a single heuristic, so no knob for it
-    with pytest.raises(EinPathError):
-        GreedyConfig(temperature=-0.1)
-    with pytest.raises(EinPathError):
-        GreedyConfig(samples=0)
+    bad = (
+        {"temperature": -0.1},
+        {"temperature": math.nan},
+        {"temperature": math.inf},
+        {"temperature": 2**1024},  # an int past the largest float
+        {"temperature": "0.5"},
+        {"temperature": True},
+        {"temperature": None},
+        {"samples": 0},
+        {"samples": 2.5},
+        {"samples": "2"},
+        {"samples": True},
+    )
+    for kwargs in bad:
+        with pytest.raises(EinPathError):
+            GreedyConfig(**kwargs)
     GreedyConfig(temperature=0.5, samples=3, seed=42)
+    for temperature in (2, 5e-324, 1e300, 2**1024 - 2**971):
+        GreedyConfig(temperature=temperature)
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,12 +310,16 @@ def test_all_carried_output_push_count():
 
 
 _SCALAR_ROOT = parse_einsum("ij,ij->", {"i": 2, "j": 3})
+# scores past 2^1024: a float key would raise OverflowError
+_HUGE = parse_einsum("ab,bc,cd,da->", {k: 2**600 for k in "abcd"})
 
 
 @settings(max_examples=300, deadline=None)
 @given(net=hyper_networks(), temperature=st.sampled_from([0.0, 0.3, 2.0]),
        seed=st.integers(0, 10**6))
 @example(net=_SCALAR_ROOT, temperature=0.0, seed=0)
+@example(net=_HUGE, temperature=2.0, seed=0)
+@example(net=_HUGE, temperature=2.0, seed=1)
 def test_pass_report_is_the_cost_of_its_tree(net, temperature, seed):
     # the report priced during the pass is cost() of the tree its pairs build
     pairs, _, report = _greedy_path(net, temperature, Random(seed))
@@ -265,17 +328,23 @@ def test_pass_report_is_the_cost_of_its_tree(net, temperature, seed):
         assert tuple(pairs) == greedy_reference(net)
 
 
-@pytest.mark.parametrize("temperature", [0.1, 0.5, 2.0])
-@pytest.mark.parametrize("batch", [False, True])
-@pytest.mark.parametrize("n", [100, 200, 300])
-def test_kept_pool_matches_rebuilt_pool(n, batch, temperature):
-    # the pool kept between steps draws the same pairs as one rebuilt from
-    # the heap at every step; extents 1-3 keep scores close, so entries
-    # deep in the pool carry weight and a wrong pool changes the draws
-    net = generate(GenConfig(
-        n_tensors=n, regularity=3.0, n_open=2, extent_min=1, extent_max=3, seed=n,
-    ))
-    if batch:
-        net = batched(net, (3,))
-    pairs, _, _ = _greedy_path(net, temperature, Random(n))
-    assert tuple(pairs) == thermal_greedy_reference(net, temperature, Random(n))
+def test_lazy_pair_keeps_its_draw(monkeypatch):
+    # the lazy pair draws once, when it becomes the lazy pair: a fresh draw
+    # on every step it stays would give it a new chance each step; a lazy
+    # pair sharing an index besides the batch index is left to its heap
+    # entry, so no pair has two draws
+    net = _batch_network([6, 5], 3, (2,))
+    pop_best = greedy_module._pop_best
+    steps = []
+
+    def spy(heap, legs, extra):
+        if extra is not None:
+            assert set(legs[extra[1]]) & set(legs[extra[2]]) == {"batch0"}
+        steps.append(extra)
+        return pop_best(heap, legs, extra)
+
+    monkeypatch.setattr(greedy_module, "_pop_best", spy)
+    for seed in range(20):
+        _greedy_path(net, 0.5, Random(seed))
+    kept = [(a, b) for a, b in zip(steps, steps[1:]) if a and b and a[1:] == b[1:]]
+    assert kept and all(a == b for a, b in kept)

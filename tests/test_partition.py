@@ -255,6 +255,10 @@ def test_partition_config_validation():
         PartitionConfig(cutoff=1)
     with pytest.raises(EinPathError):
         PartitionConfig(fm_passes=0)
+    for value in (2.5, "2", True, None):
+        for name in ("cutoff", "fm_passes", "imbalance"):
+            with pytest.raises(EinPathError):
+                PartitionConfig(**{name: value})
     with pytest.raises(EinPathError):
         PartitionConfig(leaf_optimizer="best")
     PartitionConfig(imbalance=0.0, cutoff=2, fm_passes=1, leaf_optimizer="greedy")
