@@ -37,6 +37,8 @@ class GreedyConfig:
         s = self.samples
         if isinstance(s, bool) or not isinstance(s, int) or s < 1:
             raise EinPathError("samples must be an integer >= 1")
+        if type(self.seed) is not int:  # derive_seed hashes its repr: True is not 1
+            raise EinPathError("seed must be an integer")
 
 
 def _pop_best(heap, legs, extra):

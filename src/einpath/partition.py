@@ -24,13 +24,17 @@ from .search import SearchConfig, exhaustive_dfs
 __all__ = ["Hypergraph", "PartitionConfig", "build_hypergraph", "bisect", "partition_optimize"]
 
 _RESTARTS = 8
+_COARSEST = 32  # bisect coarsens while a level has more vertices than this
+_RATED_PINS = 16  # edges of more pins are left out of the matching rating
 
 _LEAVES = ("exhaustive_dfs", "greedy")
 
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    """Knobs for bisection and the recursion around it."""
+    """Knobs for bisection and the recursion around it. fm_passes caps the
+    FM passes per restart on bisect's coarsest level, and per level on the
+    way back up; blocks of at most cutoff tensors go to leaf_optimizer."""
 
     imbalance: float = 0.2
     cutoff: int = 8
@@ -48,6 +52,8 @@ class PartitionConfig:
                 raise EinPathError(f"{name} must be an integer >= {least}")
         if self.leaf_optimizer not in _LEAVES:
             raise EinPathError(f"unknown leaf optimizer '{self.leaf_optimizer}'")
+        if type(self.seed) is not int:  # derive_seed hashes its repr: True is not 1
+            raise EinPathError("seed must be an integer")
 
 
 @dataclass(frozen=True)
@@ -93,14 +99,15 @@ def cut_weight(h, part_a):
 
 
 class _Flat(NamedTuple):
-    """bisect's flat layout of a hypergraph. Vertices are numbered by
-    position in sorted order, and the edges of two or more pins in sorted
-    index order; per edge: its member positions and weight; per vertex: its
-    incident edge ids in increasing order."""
+    """One level of bisect's flat layout. On the finest, vertices are
+    numbered by position in sorted order, and the edges of two or more pins
+    in sorted index order; per edge: its member positions and weight; per
+    vertex: its incident edge ids in increasing order and its weight."""
 
     members: list
     weights: list
     incident: list
+    vweights: list
 
 
 def _counts(flat, side):
@@ -126,12 +133,13 @@ def _fm_pass(flat, side, sizes, lo, hi):
     once) by gain under the balance bounds, then keep the best prefix.
 
     side is a bytearray over vertex positions (0 = A, 1 = B); it and sizes
-    are updated in place. A vertex's gain is summed over its incident edges
-    in edge order, and is recomputed whenever a move changes whether an
-    edge it reads has zero or one pins on a side, so every gain, and with
-    it every tie, is the float a fresh computation gives. Heap entries
-    (-gain, position, generation) are unique, so pop order does not depend
-    on push order.
+    (the vertex weight per side) are updated in place. A side offers its
+    best vertex only if both sides then stay within [lo, hi]. A vertex's
+    gain is summed over its incident edges in edge order, and is recomputed
+    whenever a move changes whether an edge it reads has zero or one pins
+    on a side, so every gain, and with it every tie, is the float a fresh
+    computation gives. Heap entries (-gain, position, generation) are
+    unique, so pop order does not depend on push order.
 
     An edge with locked pins on both sides stays cut for the rest of the
     pass. Once the initial cut minus the weight of such edges is more than
@@ -142,6 +150,7 @@ def _fm_pass(flat, side, sizes, lo, hi):
     members = flat.members
     weights = flat.weights
     incident = flat.incident
+    vweights = flat.vweights
     n = len(side)
     c0, c1 = _counts(flat, side)
     cnt = (c0, c1)
@@ -167,7 +176,7 @@ def _fm_pass(flat, side, sizes, lo, hi):
     locked = bytearray(n)
     held = bytearray(len(weights))  # per edge: 1 = a locked pin on A, 2 = on B
     mark = [-1] * n
-    need = max(lo + 1, n - hi + 1)  # a side must hold this many to give one up
+    floor = max(lo, sizes[0] + sizes[1] - hi)  # least weight a side may keep
     moves = []
     cum = 0.0
     best_cum = 0.0
@@ -176,8 +185,6 @@ def _fm_pass(flat, side, sizes, lo, hi):
     while True:
         tops = [None, None]
         for s in (0, 1):
-            if sizes[s] < need:
-                continue  # moving out of s would break balance
             heap = heaps[s]
             while heap:
                 top = heap[0]
@@ -185,7 +192,8 @@ def _fm_pass(flat, side, sizes, lo, hi):
                 if locked[v] or top[2] != gen[v]:
                     heappop(heap)
                     continue
-                tops[s] = top
+                if sizes[s] - vweights[v] >= floor:
+                    tops[s] = top  # else moving v out of s would break balance
                 break
         top0, top1 = tops
         if top1 is None:
@@ -198,8 +206,8 @@ def _fm_pass(flat, side, sizes, lo, hi):
         t = 1 - s
         locked[v] = 1
         side[v] = t
-        sizes[s] -= 1
-        sizes[t] += 1
+        sizes[s] -= vweights[v]
+        sizes[t] += vweights[v]
         cum += -negg
         step = len(moves)
         moves.append(v)
@@ -243,25 +251,66 @@ def _fm_pass(flat, side, sizes, lo, hi):
     for v in moves[best_len:]:
         s = side[v]
         side[v] = 1 - s
-        sizes[s] -= 1
-        sizes[1 - s] += 1
+        sizes[s] -= vweights[v]
+        sizes[1 - s] += vweights[v]
     return best_cum, len(moves)
+
+
+def _coarsen(flat, cap, rng):
+    """Heavy-edge matching: in random order, each unmatched vertex joins
+    the unmatched neighbour of highest positive rating, the sum of
+    w(e) / (|e| - 1) over shared edges of at most _RATED_PINS pins, if the
+    pair weighs at most cap. Returns (each vertex's cluster, the coarse
+    level), where parallel edges merge, summing weights, and one-pin ones go.
+    """
+    members, weights, incident, vweights = flat
+    cluster = [-1] * len(incident)
+    order = list(range(len(incident)))
+    rng.shuffle(order)
+    m = 0
+    for u in order:
+        if cluster[u] >= 0:
+            continue
+        cluster[u] = m
+        rating = {}
+        for e in incident[u]:
+            if len(members[e]) <= _RATED_PINS:
+                r = weights[e] / (len(members[e]) - 1)
+                for v in members[e]:
+                    if cluster[v] < 0 and vweights[u] + vweights[v] <= cap:
+                        rating[v] = rating.get(v, 0.0) + r
+        if rating and max(rating.values()) > 0:
+            cluster[max(rating, key=rating.get)] = m
+        m += 1
+    edges = {}
+    for mem, w in zip(members, weights):
+        pins = tuple(sorted({cluster[v] for v in mem}))
+        if len(pins) > 1:
+            edges[pins] = edges.get(pins, 0.0) + w
+    coarse = _Flat(list(edges), list(edges.values()), [[] for _ in range(m)], [0] * m)
+    for u, c in enumerate(cluster):
+        coarse.vweights[c] += vweights[u]
+    for e, pins in enumerate(coarse.members):
+        for c in pins:
+            coarse.incident[c].append(e)
+    return cluster, coarse
 
 
 def bisect(h, config=None):
     """Split a hypergraph in two balanced halves with a small cut.
 
-    Randomized starting assignments (derived from config.seed) are refined
-    by up to fm_passes Fiduccia-Mattheyses-style passes each; a pass never
-    increases the cut. Returns (part_a, part_b, cut_weight). An edge member
-    that is not a vertex raises EinPathError.
-
-    The passes run on flat arrays (_Flat) built once per call: vertices
-    become positions 0..n-1 in sorted order, edges ids in sorted-index
-    order, and a side assignment a bytearray. An edge of one pin is left
-    out: it is never cut and adds nothing to a gain, so the result is the
-    same. _fm_pass describes the gain rule and the early stop, neither of
-    which changes the result either.
+    Multilevel, as in hMETIS and KaHyPar: while a level has more than
+    _COARSEST vertices, _coarsen merges vertices (in an order drawn from
+    config.seed) into clusters weighing at most a quarter of the balance
+    window, until a level keeps over 90% of its vertices. On the coarsest
+    level, _RESTARTS random balanced starts get up to fm_passes FM passes
+    each; the best is projected down one level at a time and refined by up
+    to fm_passes passes on each. A pass never increases the cut. With at
+    most _COARSEST vertices, or a window under 8 (e.g. imbalance 0), no
+    level is built and this is the flat bisection, pass for pass. Returns
+    (part_a, part_b, the cut weight on the finest level). An edge member
+    that is not a vertex raises EinPathError. _Flat describes the arrays,
+    and _fm_pass the gain rule, the balance rule and the early stop.
     """
     config = config or PartitionConfig()
     vertices = sorted(h.vertices)
@@ -283,24 +332,47 @@ def bisect(h, config=None):
                 incident[p].append(len(members))
             members.append(mem)
             weights.append(h.weights[ix])
-    flat = _Flat(members, weights, incident)
+    flat = coarse = _Flat(members, weights, incident, [1] * n)
+    least, most = max(lo, n - hi), min(hi, n - lo)  # the weights side A may hold
+    levels = []
+    rng = Random(derive_seed(config.seed, "coarsen"))
+    while len(coarse.vweights) > _COARSEST and most - least >= 8:
+        cluster, coarser = _coarsen(coarse, (most - least) // 4, rng)
+        if len(coarser.vweights) > 0.9 * len(coarse.vweights):
+            break
+        levels.append((cluster, coarse))
+        coarse = coarser
+    vweights = coarse.vweights
     best = None
     for restart in range(_RESTARTS):
         rng = Random(derive_seed(config.seed, restart))
-        perm = list(range(n))
+        perm = list(range(len(vweights)))
         rng.shuffle(perm)
-        size_a = rng.randint(max(lo, n - hi), min(hi, n - lo))
-        side = bytearray(n)
-        for p in perm[size_a:]:
-            side[p] = 1
+        # A takes perm's vertices until it weighs >= target, so it stays <= most
+        target = rng.randint(least, most - max(vweights) + 1)
+        side = bytearray(b"\1") * len(vweights)
+        size_a = 0
+        for p in perm:
+            if size_a >= target:
+                break
+            side[p] = 0
+            size_a += vweights[p]
         sizes = [size_a, n - size_a]
         for _ in range(config.fm_passes):
-            if _fm_pass(flat, side, sizes, lo, hi)[0] <= 0:
+            if _fm_pass(coarse, side, sizes, lo, hi)[0] <= 0:
                 break
-        weight = _cut(flat, *_counts(flat, side))
+        weight = _cut(coarse, *_counts(coarse, side))
         if best is None or weight < best[0] - 1e-12:
             best = (weight, bytes(side))
-    weight, side = best
+    side = best[1]
+    for cluster, finer in reversed(levels):
+        side = bytearray(side[c] for c in cluster)
+        size_b = sum(compress(finer.vweights, side))
+        sizes = [n - size_b, size_b]
+        for _ in range(config.fm_passes):
+            if _fm_pass(finer, side, sizes, lo, hi)[0] <= 0:
+                break
+    weight = _cut(flat, *_counts(flat, side))
     part_a = frozenset(v for v, s in zip(vertices, side) if not s)
     part_b = frozenset(vertices) - part_a
     return part_a, part_b, weight

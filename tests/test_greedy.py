@@ -231,11 +231,17 @@ def test_config_validation():
         {"samples": 2.5},
         {"samples": "2"},
         {"samples": True},
+        {"seed": 1.5},
+        {"seed": 1.0},
+        {"seed": "x"},
+        {"seed": True},
+        {"seed": None},
     )
     for kwargs in bad:
         with pytest.raises(EinPathError):
             GreedyConfig(**kwargs)
     GreedyConfig(temperature=0.5, samples=3, seed=42)
+    GreedyConfig(seed=-1)
     for temperature in (2, 5e-324, 1e300, 2**1024 - 2**971):
         GreedyConfig(temperature=temperature)
 
