@@ -6,11 +6,11 @@ import io
 import sys
 import time
 
-from .core import cost, ssa_to_tree, tree_to_ssa
+from .core import cost, export_dot, ssa_to_tree, tree_to_ssa
 from .errors import BudgetError, EinPathError, GenerationError
-from .formats import dumps_network, dumps_path, export_dot, loads_network, loads_path
+from .formats import dumps_network, dumps_path, loads_network, loads_path
 from .generate import GenConfig, generate
-from .greedy import GreedyConfig, _single_run, sampled_greedy
+from .greedy import GreedyConfig, greedy_path
 from .partition import PartitionConfig, partition_optimize
 from .search import SearchConfig, exhaustive_dfs
 
@@ -64,16 +64,12 @@ def _run_method(network, args):
     """Returns (tree, report, nodes_expanded)."""
     method = args.method
     metric = {"flops": "flops", "size": "peak_size"}[args.metric]
-    if method == "greedy":
-        cfg = GreedyConfig(temperature=args.temperature, seed=args.seed)
-        tree, report, pushes = _single_run(network, cfg, 0)
-        return tree, report, pushes
-    if method == "sampled-greedy":
+    if method in ("greedy", "sampled-greedy"):  # both methods name one optimizer
         cfg = GreedyConfig(
             temperature=args.temperature, samples=args.samples, seed=args.seed
         )
-        tree, report = sampled_greedy(network, cfg)
-        return tree, report, 0
+        path, report, pushes = greedy_path(network, cfg)
+        return ssa_to_tree(path, network), report, pushes
     if method in ("exhaustive-dfs", "exhaustive-bfs"):
         cfg = SearchConfig(
             metric=metric,

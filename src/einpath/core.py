@@ -9,6 +9,7 @@ is never summed.
 """
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -28,8 +29,8 @@ __all__ = [
     "CostReport",
     "SsaPath",
     "tensor_size",
-    "contraction_flops",
     "cost",
+    "export_dot",
     "summed_indices",
     "naive",
     "tree_to_ssa",
@@ -244,25 +245,6 @@ def tensor_size(head, extents):
     return size
 
 
-def contraction_flops(a, b, result, extents):
-    """FLOP count of a pairwise contraction, one fused multiply-add per term.
-
-    The count is the product of extents over the union of the operand heads.
-    ``result`` is checked for consistency: it must lie between the symmetric
-    difference (indices on one side only always survive) and the union.
-    """
-    a = frozenset(a)
-    b = frozenset(b)
-    result = frozenset(result)
-    union = a | b
-    if not (a ^ b) <= result <= union:
-        raise InvalidContractionError(
-            f"result head {sorted(result)} inconsistent with operands "
-            f"{sorted(a)} and {sorted(b)}"
-        )
-    return tensor_size(union, extents)
-
-
 def _fold_entries(node, extents):
     """Per-contraction (flops, head) entries for a branch node.
 
@@ -311,6 +293,49 @@ def cost(tree, extents):
             continue  # scalar root is not an intermediate
         peak = max(peak, size)
     return CostReport(flops=flops, peak_size=peak, write_volume=write)
+
+
+def export_dot(tree, network):
+    """Graphviz text for a contraction tree.
+
+    Every branch becomes a node labeled with its flop count; every tensor
+    (leaf or intermediate) becomes an edge labeled with its size, pointing
+    at the contraction that consumes it (the root feeds a terminal anchor).
+    Leaves and the anchor render as points. `weight` attributes carry log10
+    of the label so plotting tools can scale without reparsing.
+    """
+    extents = network.extents
+    n = len(network.tensors)
+    names = {}  # id(branch) -> node name, numbered in post-order like SSA ids
+
+    def name(node):
+        return f"t{node.leaf_id}" if node.is_leaf else names[id(node)]
+
+    declared = []
+    edges = []
+    for node in tree.branches():
+        here = names[id(node)] = f"n{n + len(declared)}"
+        declared.append((here, sum(f for f, _ in _fold_entries(node, extents))))
+        for arg in node.args:
+            edges.append((name(arg), here, tensor_size(arg.head, extents)))
+    root_name, root_size = name(tree), tensor_size(tree.head, extents)
+    lines = ["digraph contraction {"]
+    for i in range(n):
+        lines.append(f'  t{i} [shape=point];')
+    for node_name, flops in declared:
+        lines.append(
+            f'  {node_name} [label="{flops}", weight="{math.log10(flops):.6f}"];'
+        )
+    lines.append("  out [shape=point];")
+    for tail, head, size in edges:
+        lines.append(
+            f'  {tail} -> {head} [label="{size}", weight="{math.log10(size):.6f}"];'
+        )
+    lines.append(
+        f'  {root_name} -> out [label="{root_size}", weight="{math.log10(root_size):.6f}"];'
+    )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Reading and writing networks, paths, einsum strings and DOT trees."""
+"""Reading and writing networks, paths and einsum strings."""
 
 import json
-import math
 
-from .core import CostReport, SsaPath, TensorNetwork, TensorSig, tensor_size, _fold_entries
+from .core import CostReport, SsaPath, TensorNetwork, TensorSig
 from .errors import EinsumSyntaxError, NetworkValidationError, MalformedPathError, TraceError
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "dumps_path",
     "loads_path",
     "parse_einsum",
-    "export_dot",
 ]
 
 
@@ -225,46 +223,3 @@ def parse_einsum(equation, extents):
     )
     known = {ix: extents[ix] for ix in sorted(names) if ix in extents}
     return TensorNetwork(sigs, known, tuple(rhs))
-
-
-def export_dot(tree, network):
-    """Graphviz text for a contraction tree.
-
-    Every branch becomes a node labeled with its flop count; every tensor
-    (leaf or intermediate) becomes an edge labeled with its size, pointing
-    at the contraction that consumes it (the root feeds a terminal anchor).
-    Leaves and the anchor render as points. `weight` attributes carry log10
-    of the label so plotting tools can scale without reparsing.
-    """
-    extents = network.extents
-    n = len(network.tensors)
-    names = {}  # id(branch) -> node name, numbered in post-order like SSA ids
-
-    def name(node):
-        return f"t{node.leaf_id}" if node.is_leaf else names[id(node)]
-
-    declared = []
-    edges = []
-    for node in tree.branches():
-        here = names[id(node)] = f"n{n + len(declared)}"
-        declared.append((here, sum(f for f, _ in _fold_entries(node, extents))))
-        for arg in node.args:
-            edges.append((name(arg), here, tensor_size(arg.head, extents)))
-    root_name, root_size = name(tree), tensor_size(tree.head, extents)
-    lines = ["digraph contraction {"]
-    for i in range(n):
-        lines.append(f'  t{i} [shape=point];')
-    for node_name, flops in declared:
-        lines.append(
-            f'  {node_name} [label="{flops}", weight="{math.log10(flops):.6f}"];'
-        )
-    lines.append("  out [shape=point];")
-    for tail, head, size in edges:
-        lines.append(
-            f'  {tail} -> {head} [label="{size}", weight="{math.log10(size):.6f}"];'
-        )
-    lines.append(
-        f'  {root_name} -> out [label="{root_size}", weight="{math.log10(root_size):.6f}"];'
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

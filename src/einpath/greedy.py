@@ -12,7 +12,7 @@ from ._util import derive_seed
 from .core import CostReport, SsaPath, index_appearances, ssa_to_tree, tensor_size
 from .errors import EinPathError
 
-__all__ = ["GreedyConfig", "greedy", "sampled_greedy"]
+__all__ = ["GreedyConfig", "greedy", "greedy_path", "sampled_greedy"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def _two_smallest(by_size, legs):
     return first, second
 
 
-def _greedy_path(network, temperature=0.0, rng=None):
+def _greedy_pass(network, temperature=0.0, rng=None):
     """Run one greedy pass; returns (ssa pairs, heap pushes, cost report).
 
     Terms carry per-index appearance counts so hyperedges survive until
@@ -247,44 +247,20 @@ def _greedy_path(network, temperature=0.0, rng=None):
     return pairs, pushes, CostReport(flops=flops, peak_size=peak, write_volume=write)
 
 
-def _rng(config, sample):
-    """A thermal pass's generator, seeded by (seed, sample); None at T = 0."""
-    if config.temperature > 0:
-        return Random(derive_seed(config.seed, sample))
-    return None
-
-
-def _single_run(network, config, sample):
-    """One greedy pass rebuilt as a tree: returns (tree, report, pushes)."""
-    pairs, pushes, report = _greedy_path(network, config.temperature, _rng(config, sample))
-    return ssa_to_tree(SsaPath(pairs), network), report, pushes
-
-
-def greedy(network, config=None):
-    """Greedily contract the best-scoring pair until one tensor remains.
-
-    A pair scores the size of its result minus the sizes of both operands
-    (lower is better). Returns the tree and its cost.
-    """
-    config = config or GreedyConfig()
-    tree, report, _ = _single_run(network, config, 0)
-    return tree, report
-
-
 def _sample_runs(network, config):
-    """Yield (sample, ssa pairs, report) for each sampled greedy pass."""
+    """Yield (ssa pairs, heap pushes, cost report) for each of config.samples
+    passes; a thermal pass draws from a generator seeded by (seed, sample)."""
     for sample in range(config.samples):
-        pairs, _, report = _greedy_path(network, config.temperature, _rng(config, sample))
-        yield sample, pairs, report
+        rng = Random(derive_seed(config.seed, sample)) if config.temperature > 0 else None
+        yield _greedy_pass(network, config.temperature, rng)
 
 
-def sampled_greedy(network, config=None):
-    """Repeat thermal greedy passes and keep the minimum-flops tree.
+def greedy_path(network, config=None):
+    """The cheapest of config.samples greedy passes as SSA pairs.
 
-    Each sample runs with a sub-seed derived from (seed, sample), so results
-    do not depend on evaluation order; the first of equal-flops samples
-    wins. Passes are priced as they run, and only the kept one is rebuilt
-    as a tree. With temperature 0 every sample is identical; that
+    Returns (SsaPath, cost report, heap pushes summed over the passes).
+    The first of equal-flops passes wins, so results do not depend on
+    evaluation order. With temperature 0 every pass is identical; that
     degenerate combination warns and collapses to one pass.
     """
     config = config or GreedyConfig()
@@ -292,7 +268,24 @@ def sampled_greedy(network, config=None):
         warnings.warn("temperature=0 makes all greedy samples identical", stacklevel=2)
         config = GreedyConfig(temperature=0.0, samples=1, seed=config.seed)
     best = None
-    for _, pairs, report in _sample_runs(network, config):
+    pushes = 0
+    for pairs, count, report in _sample_runs(network, config):
+        pushes += count
         if best is None or report.flops < best[1].flops:
             best = (pairs, report)
-    return ssa_to_tree(SsaPath(best[0]), network), best[1]
+    return SsaPath(best[0]), best[1], pushes
+
+
+def greedy(network, config=None):
+    """Greedily contract the best-scoring pair until one tensor remains.
+
+    A pair scores the size of its result minus the sizes of both operands
+    (lower is better). At temperature > 0 pair selection is sampled, and
+    the cheapest of config.samples passes is kept (see greedy_path); only
+    that pass is rebuilt as a tree. Returns the tree and its cost.
+    """
+    path, report, _ = greedy_path(network, config)
+    return ssa_to_tree(path, network), report
+
+
+sampled_greedy = greedy  # the thermal optimizer's name, kept for its callers

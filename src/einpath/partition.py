@@ -16,10 +16,10 @@ from random import Random
 from typing import NamedTuple
 
 from ._util import derive_seed
-from .core import SsaPath, TensorNetwork, TensorSig, cost, ssa_to_tree, tree_to_ssa
+from .core import SsaPath, TensorNetwork, TensorSig, cost, ssa_to_tree
 from .errors import EinPathError
-from .greedy import GreedyConfig, greedy
-from .search import SearchConfig, exhaustive_dfs
+from .greedy import greedy_path
+from .search import exhaustive_path
 
 __all__ = ["Hypergraph", "PartitionConfig", "build_hypergraph", "bisect", "partition_optimize"]
 
@@ -394,18 +394,11 @@ def _subnetwork(network, members, carriers, out_set):
     return TensorNetwork(tensors, extents, sub_output)
 
 
-def _leaf_pairs(network, config):
-    if config.leaf_optimizer == "greedy":
-        tree, _ = greedy(network, GreedyConfig())
-    else:
-        tree, _, _ = exhaustive_dfs(network, SearchConfig())
-    return list(tree_to_ssa(tree))
-
-
 def _partition_pairs(network, seed, depth, config):
     n = len(network.tensors)
     if n <= config.cutoff:
-        return _leaf_pairs(network, config)
+        leaf = greedy_path if config.leaf_optimizer == "greedy" else exhaustive_path
+        return leaf(network)[0]
     h = build_hypergraph(network)
     part_a, part_b, _ = bisect(h, dataclasses.replace(config, seed=seed))
     sides = sorted(

@@ -3,13 +3,14 @@
 One engine finds the optimum: a breadth-first dynamic program that builds
 the best tree of every tensor subset by cardinality, admitting only subtrees
 within a cost cap (Pfeifer, Haegeman & Verstraete, PRE 2014).
-exhaustive_dfs and exhaustive_bfs are two names for it. It avoids outer
-products unless the network is disconnected and nothing else is left to
-contract (configurable).
+exhaustive_path returns its SSA pairs, and exhaustive_dfs and exhaustive_bfs
+are two names for the tree rebuilt from them. It avoids outer products
+unless the network is disconnected and nothing else is left to contract
+(configurable).
 
-The driver (_search) seeds a bound, solves each connected component of the
-network over its tensors, and, when there are several, joins the component
-results by an outer-product search over them, the spine. With outer
+The driver (exhaustive_path) seeds a bound, solves each connected component
+of the network over its tensors, and, when there are several, joins the
+component results by an outer-product search over them, the spine. With outer
 products allowed the whole network is one part and there is no spine. More
 than _SPINE_CAP components raise BudgetError up front, since the spine
 tabulates subsets of them.
@@ -38,11 +39,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import SsaPath, cost, ssa_to_tree
+from .core import CostReport, SsaPath, ssa_to_tree
 from .errors import BudgetError, EinPathError
-from .greedy import _greedy_path
+from .greedy import greedy_path
 
-__all__ = ["SearchConfig", "SearchStats", "exhaustive_dfs", "exhaustive_bfs"]
+__all__ = ["SearchConfig", "SearchStats", "exhaustive_dfs", "exhaustive_bfs", "exhaustive_path"]
 
 _METRICS = ("flops", "peak_size")
 
@@ -204,39 +205,40 @@ class _Space:
         return union & outside
 
 
-def _price(space, pairs, metric):
-    """Exact metric value of a full SSA pair list, as cost() reports it."""
+def _price(space, pairs):
+    """Exact cost report of a full SSA pair list, as cost() reports it."""
     n = len(space.term_masks)
     leaves = [1 << t for t in range(n)]
     heads = list(space.term_masks)
-    value = 0
+    flops = peak = write = 0
     last = len(pairs) - 1
     for step, (a, b) in enumerate(pairs):
         union = heads[a] | heads[b]
         leaf = leaves[a] | leaves[b]
         head = space.head(leaf, union)
-        if metric == "flops":
-            value += space.size(union)
-        elif not (step == last and head == 0):
-            value = max(value, space.size(head))  # a scalar root is no intermediate
+        flops += space.size(union)
+        size = space.size(head)
+        write += size
+        if not (step == last and head == 0):
+            peak = max(peak, size)  # a scalar root is no intermediate
         leaves.append(leaf)
         heads.append(head)
-    return value
+    return CostReport(flops=flops, peak_size=peak, write_volume=write)
 
 
 def _initial_bound(network, space, config):
     """The bound that clips the cost cap: the explicit value, the naive
     chain's, or the better of the greedy tree's and the naive chain's, so a
     greedy-seeded search never starts looser than a naive-seeded one. The
-    naive chain is priced on the space, greedy's tree by the greedy pass
+    naive chain is priced on the space, greedy's pairs by the greedy pass
     itself, both with exact integers."""
     if not isinstance(config.init_bound, str):
         return config.init_bound
     n = len(network.tensors)
     naive_pairs = [(0 if t == 1 else n + t - 2, t) for t in range(1, n)]
-    value = _price(space, naive_pairs, config.metric)
+    value = getattr(_price(space, naive_pairs), config.metric)
     if config.init_bound == "greedy":
-        value = min(value, getattr(_greedy_path(network)[2], config.metric))
+        value = min(value, getattr(greedy_path(network)[1], config.metric))
     return value
 
 
@@ -465,17 +467,18 @@ def _emit(best, key, base_ssa, pairs, counter):
     return ssa
 
 
-def _search(network, config):
-    """Optimal tree by the capped DP: each part (the whole network when outer
-    products are allowed, else its connected components, lowest tensor
-    first) is solved over its tensors, then, when there are several, the
-    spine joins the part results by an outer-product search over them.
+def exhaustive_path(network, config=None):
+    """Optimal contraction order as SSA pairs, by the capped DP: each part
+    (the whole network when outer products are allowed, else its connected
+    components, lowest tensor first) is solved over its tensors, then, when
+    there are several, the spine joins the part results by an outer-product
+    search over them.
 
     Every solve forms its target: the cap keeps rising while a pass rejects
     a pair for cost, and a pass that rejects none has admitted every subset
     the pair rule can form, which includes a connected part and any set of
-    units joined with outer products allowed. Returns (tree, cost report,
-    search stats).
+    units joined with outer products allowed. Returns (SsaPath, cost
+    report, search stats); the report is priced on the bitmask space.
     """
     config = config or SearchConfig()
     budget = _Budget(config)
@@ -511,17 +514,16 @@ def _search(network, config):
             space, units, config.metric, True, True, bound, bound, stats, budget
         )
         _emit(spine, target, roots, pairs, counter)
-    tree = ssa_to_tree(SsaPath(pairs), network)
-    report = cost(tree, network.extents)
+    report = _price(space, pairs)
     stats.best_cost = getattr(report, config.metric)
-    return tree, report, stats
+    return SsaPath(pairs), report, stats
 
 
 def exhaustive_dfs(network, config=None):
     """Optimal contraction order: another name for exhaustive_bfs, kept for
     callers of the depth-first name. Returns (tree, cost report, search
     stats)."""
-    return _search(network, config)
+    return exhaustive_bfs(network, config)
 
 
 def exhaustive_bfs(network, config=None):
@@ -533,6 +535,8 @@ def exhaustive_bfs(network, config=None):
     Disconnected networks are solved per component, then the component
     results are joined by an outer-product subset search. Raises
     BudgetError, with outer products off, on more than _SPINE_CAP
-    components. Returns (tree, cost report, search stats).
+    components. Returns (tree, cost report, search stats), the tree rebuilt
+    from exhaustive_path's pairs.
     """
-    return _search(network, config)
+    path, report, stats = exhaustive_path(network, config)
+    return ssa_to_tree(path, network), report, stats

@@ -211,6 +211,21 @@ def test_stats_init_blank_for_greedy(net_file, tmp_path):
     assert rows[1][1] == ""
 
 
+def test_greedy_methods_name_one_optimizer(net_file, tmp_path):
+    # greedy honours --samples, and both methods report their heap pushes
+    written = {}
+    for method in ("greedy", "sampled-greedy"):
+        out, stats = tmp_path / f"{method}.json", tmp_path / f"{method}.csv"
+        assert cli_main(["optimize", "--input", str(net_file), "--method", method,
+                         "--samples", "4", "--temperature", "0.5", "--seed", "3",
+                         "--output", str(out), "--stats", str(stats)]) == 0
+        doc = json.loads(out.read_text())
+        nodes = int(list(csv.reader(stats.read_text().splitlines()))[1][-1])
+        written[method] = doc["ssa_path"], doc["cost"], nodes
+    assert written["greedy"] == written["sampled-greedy"]
+    assert written["sampled-greedy"][2] > 0
+
+
 def test_dot_output(net_file, tmp_path):
     dot = tmp_path / "tree.dot"
     assert cli_main(["optimize", "--input", str(net_file), "--output",

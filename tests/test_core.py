@@ -29,7 +29,6 @@ from einpath import (
     tree_to_ssa,
     validate_tree,
 )
-from einpath.core import contraction_flops
 from oracles import ssa_to_tree_reference, validate_network_reference, validate_tree_reference
 
 
@@ -84,16 +83,6 @@ def test_tensor_size():
     assert tensor_size(frozenset(), extents) == 1
     with pytest.raises(MissingExtentError):
         tensor_size(frozenset("iz"), extents)
-
-
-def test_contraction_flops():
-    extents = {"i": 2, "j": 3, "k": 4}
-    assert contraction_flops("ij", "jk", "ik", extents) == 24
-    # the symmetric difference must survive and nothing beyond the union may
-    with pytest.raises(InvalidContractionError):
-        contraction_flops("ij", "jk", "i", extents)
-    with pytest.raises(InvalidContractionError):
-        contraction_flops("ij", "jk", "ikz", extents)
 
 
 def test_tree_to_ssa_round_trip(closed6):

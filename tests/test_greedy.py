@@ -16,6 +16,7 @@ from einpath import (
     cost,
     generate,
     greedy,
+    greedy_path,
     index_appearances,
     parse_einsum,
     sampled_greedy,
@@ -24,7 +25,7 @@ from einpath import (
     tree_to_ssa,
     validate_tree,
 )
-from einpath.greedy import _greedy_path, _sample_runs
+from einpath.greedy import _greedy_pass, _sample_runs
 from conftest import batched, disjoint_union, hyper_networks
 from oracles import greedy_reference
 
@@ -70,7 +71,7 @@ def test_worked_example_initial_scores(closed6):
 
 def test_worked_example_selection_order(closed6):
     # four pairs tie at -4; lexicographic order breaks the tie toward (0, 1)
-    pairs, _, _ = _greedy_path(closed6)
+    pairs, _, _ = _greedy_pass(closed6)
     assert tuple(pairs) == ((0, 1), (3, 5), (2, 4), (6, 8), (7, 9))
     assert tuple(pairs) == greedy_reference(closed6)
 
@@ -88,7 +89,7 @@ def test_matches_reference_on_random_networks(seed):
         n_tensors=12, regularity=3.0, n_open=seed % 3,
         extent_min=2, extent_max=4, seed=seed,
     ))
-    pairs, _, _ = _greedy_path(net)
+    pairs, _, _ = _greedy_pass(net)
     assert tuple(pairs) == greedy_reference(net)
     tree, report = greedy(net)
     validate_tree(tree, net)
@@ -121,7 +122,7 @@ def test_disconnected_fallback():
         sigs.append(TensorSig(2 * i + 1, (f"b{i}",)))
         extents[f"b{i}"] = 2 + i
     net = TensorNetwork(tuple(sigs), extents, ())
-    pairs, _, _ = _greedy_path(net)
+    pairs, _, _ = _greedy_pass(net)
     assert tuple(pairs) == greedy_reference(net)
     live = {i: set(net.tensors[i].indices) for i in range(6)}
     outer = 0
@@ -151,9 +152,13 @@ def test_sampled_keeps_best_sample(monkeypatch):
     validate_tree(tree, net)
     runs = list(_sample_runs(net, config))
     flops = [r.flops for _, _, r in runs]
-    _, pairs, best = runs[flops.index(min(flops))]
+    pairs, _, best = runs[flops.index(min(flops))]
     assert report == best == cost(tree, net.extents)
     assert tree_to_ssa(tree) == tree_to_ssa(rebuild(SsaPath(pairs), net))
+    # greedy_path returns the kept pass's pairs and the pushes of all eight
+    path, path_report, pushes = greedy_path(net, config)
+    assert (path.pairs, path_report) == (tuple(pairs), best)
+    assert pushes == sum(count for _, count, _ in runs)
 
 
 def test_sampled_collapse_warns(closed6):
@@ -172,7 +177,7 @@ def test_determinism():
     assert tree_to_ssa(first[0]) == tree_to_ssa(second[0])
     assert first[1] == second[1]
     # the seeded draws differ between samples, so the samples are not all alike
-    assert len({tuple(pairs) for _, pairs, _ in _sample_runs(net, config)}) >= 2
+    assert len({tuple(pairs) for pairs, _, _ in _sample_runs(net, config)}) >= 2
 
 
 _THREE = parse_einsum("ab,bc,cd->ad", {"a": 2, "b": 2, "c": 3, "d": 2})
@@ -185,7 +190,7 @@ def test_first_pick_is_a_boltzmann_draw(net, temperature):
     # proportional to e^(-score/T): _THREE scores -4 and -8, _CHAIN -10,
     # -14 and -2, and with three candidates a noise of the wrong sign shows
     runs = 4000
-    firsts = Counter(_greedy_path(net, temperature, Random(seed))[0][0] for seed in range(runs))
+    firsts = Counter(_greedy_pass(net, temperature, Random(seed))[0][0] for seed in range(runs))
     weights = {(i, i + 1): math.exp(-_score(net, i, i + 1) / temperature)
                for i in range(len(net.tensors) - 1)}
     assert firsts.keys() <= weights.keys()
@@ -212,7 +217,7 @@ def test_noise_never_raises(temperature, u):
     # huge temperatures shift the integer keys far either way
     net = batched(generate(GenConfig(n_tensors=12, regularity=3.0, extent_min=2,
                                      extent_max=4, seed=4)), (3,))
-    pairs, _, report = _greedy_path(net, temperature, _Draws(u))
+    pairs, _, report = _greedy_pass(net, temperature, _Draws(u))
     assert report == cost(ssa_to_tree(SsaPath(pairs), net), net.extents)
 
 
@@ -253,7 +258,7 @@ def test_reference_agreement_property(n, seed):
         n_tensors=n, regularity=2.5, n_open=seed % 3,
         extent_min=2, extent_max=5, seed=seed,
     ))
-    pairs, _, _ = _greedy_path(net)
+    pairs, _, _ = _greedy_pass(net)
     assert tuple(pairs) == greedy_reference(net)
     tree, report = greedy(net)
     validate_tree(tree, net)
@@ -285,7 +290,7 @@ _BATCH = st.lists(st.integers(1, 4), min_size=1, max_size=2)
 def test_components_and_batch_indices_match_reference(parts, seed, batch_extents):
     # without batch indices, finished components fold by (size, id)
     net = _batch_network(parts, seed, batch_extents)
-    pairs, _, _ = _greedy_path(net)
+    pairs, _, _ = _greedy_pass(net)
     assert tuple(pairs) == greedy_reference(net)
     tree, report = greedy(net)
     validate_tree(tree, net)
@@ -310,7 +315,7 @@ def test_all_carried_output_push_count():
     net = batched(generate(GenConfig(
         n_tensors=n, regularity=3.0, extent_min=2, extent_max=5, seed=1,
     )), (4,))
-    pairs, pushes, _ = _greedy_path(net)
+    pairs, pushes, _ = _greedy_pass(net)
     assert pushes <= 20 * n
     validate_tree(ssa_to_tree(SsaPath(tuple(pairs)), net), net)
 
@@ -328,7 +333,7 @@ _HUGE = parse_einsum("ab,bc,cd,da->", {k: 2**600 for k in "abcd"})
 @example(net=_HUGE, temperature=2.0, seed=1)
 def test_pass_report_is_the_cost_of_its_tree(net, temperature, seed):
     # the report priced during the pass is cost() of the tree its pairs build
-    pairs, _, report = _greedy_path(net, temperature, Random(seed))
+    pairs, _, report = _greedy_pass(net, temperature, Random(seed))
     assert report == cost(ssa_to_tree(SsaPath(pairs), net), net.extents)
     if temperature == 0:
         assert tuple(pairs) == greedy_reference(net)
@@ -351,6 +356,6 @@ def test_lazy_pair_keeps_its_draw(monkeypatch):
 
     monkeypatch.setattr(greedy_module, "_pop_best", spy)
     for seed in range(20):
-        _greedy_path(net, 0.5, Random(seed))
+        _greedy_pass(net, 0.5, Random(seed))
     kept = [(a, b) for a, b in zip(steps, steps[1:]) if a and b and a[1:] == b[1:]]
     assert kept and all(a == b for a, b in kept)
