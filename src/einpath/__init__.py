@@ -4,112 +4,26 @@ Networks are hypergraphs of index-labeled tensors; a contraction path is a
 binary expression tree over them. This package finds such trees (greedy,
 exhaustive, recursive-bisection), prices them exactly in integer arithmetic,
 and moves them in and out of JSON, einsum strings and DOT.
+
+The public API is the union of the modules' `__all__` lists, re-exported here.
 """
 
-from .core import (
-    CostReport,
-    EinExpr,
-    SsaPath,
-    TensorNetwork,
-    TensorSig,
-    cost,
-    export_dot,
-    index_appearances,
-    intermediates_equal,
-    naive,
-    ssa_to_tree,
-    summed_indices,
-    tensor_size,
-    tree_to_ssa,
-    validate_tree,
+from . import core, errors, formats, generate, greedy, partition, search
+
+__all__ = sorted(
+    name
+    for module in (core, errors, formats, generate, greedy, partition, search)
+    for name in module.__all__
 )
-from .errors import (
-    BudgetError,
-    EinPathError,
-    EinsumSyntaxError,
-    GenerationError,
-    InvalidContractionError,
-    MalformedPathError,
-    MissingExtentError,
-    NetworkValidationError,
-    TraceError,
-    UnsupportedArityError,
-)
-from .formats import (
-    document_to_network,
-    document_to_path,
-    dumps_network,
-    dumps_path,
-    loads_network,
-    loads_path,
-    network_to_document,
-    parse_einsum,
-    path_to_document,
-)
-from .generate import GenConfig, generate
-from .greedy import GreedyConfig, greedy, greedy_path, sampled_greedy
-from .partition import (
-    Hypergraph,
-    PartitionConfig,
-    bisect,
-    build_hypergraph,
-    cut_weight,
-    partition_optimize,
-)
-from .search import SearchConfig, SearchStats, exhaustive_bfs, exhaustive_dfs, exhaustive_path
+
+# `generate` and `greedy` name a module and a function each: the star imports
+# come after __all__ is built, so the package attributes are the functions
+from .core import *
+from .errors import *
+from .formats import *
+from .generate import *
+from .greedy import *
+from .partition import *
+from .search import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetError",
-    "CostReport",
-    "EinExpr",
-    "EinPathError",
-    "EinsumSyntaxError",
-    "GenConfig",
-    "GenerationError",
-    "GreedyConfig",
-    "Hypergraph",
-    "InvalidContractionError",
-    "MalformedPathError",
-    "MissingExtentError",
-    "NetworkValidationError",
-    "PartitionConfig",
-    "SearchConfig",
-    "SearchStats",
-    "SsaPath",
-    "TensorNetwork",
-    "TensorSig",
-    "TraceError",
-    "UnsupportedArityError",
-    "bisect",
-    "build_hypergraph",
-    "cost",
-    "cut_weight",
-    "document_to_network",
-    "document_to_path",
-    "dumps_network",
-    "dumps_path",
-    "exhaustive_bfs",
-    "exhaustive_dfs",
-    "exhaustive_path",
-    "export_dot",
-    "generate",
-    "greedy",
-    "greedy_path",
-    "index_appearances",
-    "intermediates_equal",
-    "loads_network",
-    "loads_path",
-    "naive",
-    "network_to_document",
-    "parse_einsum",
-    "partition_optimize",
-    "path_to_document",
-    "sampled_greedy",
-    "ssa_to_tree",
-    "summed_indices",
-    "tensor_size",
-    "tree_to_ssa",
-    "validate_tree",
-]

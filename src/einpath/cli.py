@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 import time
@@ -60,48 +61,40 @@ def _parse_init(text):
         raise EinPathError(f"--init takes naive, greedy or an integer, got '{text}'")
 
 
+def _config(cls, args, **fields):
+    """A cls config from the given flags named as its fields, then `fields`.
+    A flag left out is absent from args, so its field keeps the default."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args}
+    return cls(**{**given, **fields})
+
+
 def _run_method(network, args):
-    """Returns (tree, report, nodes_expanded)."""
+    """Returns (tree, report, nodes_expanded, the --stats init column)."""
     method = args.method
-    metric = {"flops": "flops", "size": "peak_size"}[args.metric]
     if method in ("greedy", "sampled-greedy"):  # both methods name one optimizer
-        cfg = GreedyConfig(
-            temperature=args.temperature, samples=args.samples, seed=args.seed
-        )
-        path, report, pushes = greedy_path(network, cfg)
-        return ssa_to_tree(path, network), report, pushes
+        path, report, pushes = greedy_path(network, _config(GreedyConfig, args))
+        return ssa_to_tree(path, network), report, pushes, ""
     if method in ("exhaustive-dfs", "exhaustive-bfs"):
-        cfg = SearchConfig(
-            metric=metric,
-            init_bound=_parse_init(args.init),
-            outer_products=args.outer_products,
-            max_nodes=args.max_nodes,
-            deadline=args.deadline,
-        )
+        fields = {"metric": {"flops": "flops", "size": "peak_size"}[args.metric]}
+        if "init_bound" in args:
+            fields["init_bound"] = _parse_init(args.init_bound)
+        cfg = _config(SearchConfig, args, **fields)
         tree, report, stats = exhaustive_dfs(network, cfg)  # both methods name one search
-        return tree, report, stats.nodes_expanded
-    cfg = PartitionConfig(
-        imbalance=args.imbalance,
-        cutoff=args.cutoff,
-        fm_passes=args.fm_passes,
-        leaf_optimizer=args.leaf_optimizer,
-        seed=args.seed,
-    )
-    tree, report = partition_optimize(network, cfg)
-    return tree, report, 0
+        return tree, report, stats.nodes_expanded, cfg.init_bound
+    tree, report = partition_optimize(network, _config(PartitionConfig, args))
+    return tree, report, 0, ""
 
 
 def _cmd_optimize(args):
     network = loads_network(_read(args.input))
     begin = time.perf_counter_ns()
-    tree, report, nodes = _run_method(network, args)
+    tree, report, nodes, init = _run_method(network, args)
     wall = time.perf_counter_ns() - begin
     path = tree_to_ssa(tree)
     _write(args.output, dumps_path(path, report, args.method, args.seed))
     if args.dot:
         _write(args.dot, export_dot(tree, network))
     if args.stats:
-        init = args.init if args.method in ("exhaustive-dfs", "exhaustive-bfs") else ""
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
@@ -112,16 +105,7 @@ def _cmd_optimize(args):
 
 
 def _cmd_gen(args):
-    config = GenConfig(
-        n_tensors=args.tensors,
-        regularity=args.regularity,
-        n_open=args.open,
-        extent_min=args.extent_min,
-        extent_max=args.extent_max,
-        seed=args.seed,
-        max_indices=args.max_indices,
-    )
-    _write(args.output, dumps_network(generate(config)))
+    _write(args.output, dumps_network(generate(_config(GenConfig, args))))
     return 0
 
 
@@ -152,35 +136,37 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    opt = sub.add_parser("optimize", help="find a contraction path for a network")
+    # a config flag left out is absent from args (argument_default), so its
+    # field keeps the dataclass default; dests are the field names
+    opt = sub.add_parser("optimize", help="find a contraction path for a network",
+                         argument_default=argparse.SUPPRESS)
     opt.add_argument("--input", required=True, help="network JSON ('-' for stdin)")
     opt.add_argument("--method", choices=_METHODS, default="greedy")
     opt.add_argument("--metric", choices=("flops", "size"), default="flops")
-    opt.add_argument("--init", default="greedy", help="naive, greedy or an integer bound")
+    opt.add_argument("--init", dest="init_bound", help="naive, greedy or an integer bound")
     opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--samples", type=int, default=1)
-    opt.add_argument("--temperature", type=float, default=0.0)
-    opt.add_argument("--cutoff", type=int, default=8)
-    opt.add_argument("--imbalance", type=float, default=0.2)
-    opt.add_argument("--fm-passes", type=int, default=10)
-    opt.add_argument(
-        "--leaf-optimizer", choices=("exhaustive_dfs", "greedy"), default="exhaustive_dfs"
-    )
+    opt.add_argument("--samples", type=int)
+    opt.add_argument("--temperature", type=float)
+    opt.add_argument("--cutoff", type=int)
+    opt.add_argument("--imbalance", type=float)
+    opt.add_argument("--fm-passes", type=int)
+    opt.add_argument("--leaf-optimizer")
     opt.add_argument("--outer-products", action="store_true")
     opt.add_argument("--max-nodes", type=int, help="exhaustive search node budget")
     opt.add_argument("--deadline", type=float, help="exhaustive search time budget in seconds")
     opt.add_argument("--output", default="-", help="path JSON destination")
-    opt.add_argument("--stats", help="write a one-row stats CSV here")
-    opt.add_argument("--dot", help="write a Graphviz rendering here")
+    opt.add_argument("--stats", default=None, help="write a one-row stats CSV here")
+    opt.add_argument("--dot", default=None, help="write a Graphviz rendering here")
     opt.set_defaults(run=_cmd_optimize)
 
-    gen = sub.add_parser("gen", help="generate a random network")
-    gen.add_argument("--tensors", type=int, required=True)
-    gen.add_argument("--regularity", type=float, default=3.0)
-    gen.add_argument("--open", type=int, default=0)
-    gen.add_argument("--extent-min", type=int, default=2)
-    gen.add_argument("--extent-max", type=int, default=2)
-    gen.add_argument("--seed", type=int, default=0)
+    gen = sub.add_parser("gen", help="generate a random network",
+                         argument_default=argparse.SUPPRESS)
+    gen.add_argument("--tensors", dest="n_tensors", type=int, required=True)
+    gen.add_argument("--regularity", type=float)
+    gen.add_argument("--open", dest="n_open", type=int)
+    gen.add_argument("--extent-min", type=int)
+    gen.add_argument("--extent-max", type=int)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--max-indices", type=int)
     gen.add_argument("--output", default="-")
     gen.set_defaults(run=_cmd_gen)

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BudgetError", "EinPathError", "EinsumSyntaxError", "GenerationError",
+    "InvalidContractionError", "MalformedPathError", "MissingExtentError",
+    "NetworkValidationError", "TraceError", "UnsupportedArityError",
+]
+
 
 class EinPathError(Exception):
     """Base class for everything raised on purpose."""

@@ -3,9 +3,9 @@
 from dataclasses import dataclass
 from random import Random
 
-from ._util import derive_seed
+from ._util import check_int, check_number, derive_seed
 from .core import TensorNetwork, TensorSig
-from .errors import EinPathError, GenerationError
+from .errors import GenerationError
 
 __all__ = ["GenConfig", "generate"]
 
@@ -23,16 +23,14 @@ class GenConfig:
     max_indices: int | None = None
 
     def __post_init__(self):
-        if self.n_tensors < 1:
-            raise EinPathError("n_tensors must be >= 1")
-        if self.regularity < 0:
-            raise EinPathError("regularity must be >= 0")
-        if self.n_open < 0:
-            raise EinPathError("n_open must be >= 0")
-        if not 1 <= self.extent_min <= self.extent_max:
-            raise EinPathError("need 1 <= extent_min <= extent_max")
-        if self.max_indices is not None and self.max_indices < 0:
-            raise EinPathError("max_indices must be >= 0")
+        check_int("n_tensors", self.n_tensors, 1)
+        check_number("regularity", self.regularity, 0)
+        check_int("n_open", self.n_open, 0)
+        check_int("extent_min", self.extent_min, 1)
+        check_int("extent_max", self.extent_max, self.extent_min)
+        check_int("seed", self.seed)
+        if self.max_indices is not None:
+            check_int("max_indices", self.max_indices, 0)
 
 
 def _distinct_pair(rng, n, first=None):

@@ -8,9 +8,8 @@ import warnings
 from dataclasses import dataclass
 from random import Random
 
-from ._util import derive_seed
+from ._util import check_int, check_number, derive_seed
 from .core import CostReport, SsaPath, index_appearances, ssa_to_tree, tensor_size
-from .errors import EinPathError
 
 __all__ = ["GreedyConfig", "greedy", "greedy_path", "sampled_greedy"]
 
@@ -29,16 +28,9 @@ class GreedyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        t = self.temperature
-        # the bound is the largest finite float, so ints past it are refused too
-        if (isinstance(t, bool) or not isinstance(t, (int, float))
-                or not 0 <= t <= 2**1024 - 2**971):
-            raise EinPathError("temperature must be a finite number >= 0")
-        s = self.samples
-        if isinstance(s, bool) or not isinstance(s, int) or s < 1:
-            raise EinPathError("samples must be an integer >= 1")
-        if type(self.seed) is not int:  # derive_seed hashes its repr: True is not 1
-            raise EinPathError("seed must be an integer")
+        check_number("temperature", self.temperature, 0)
+        check_int("samples", self.samples, 1)
+        check_int("seed", self.seed)
 
 
 def _pop_best(heap, legs, extra):

@@ -15,13 +15,16 @@ from itertools import compress
 from random import Random
 from typing import NamedTuple
 
-from ._util import derive_seed
+from ._util import check_int, check_number, derive_seed
 from .core import SsaPath, TensorNetwork, TensorSig, cost, ssa_to_tree
 from .errors import EinPathError
 from .greedy import greedy_path
 from .search import exhaustive_path
 
-__all__ = ["Hypergraph", "PartitionConfig", "build_hypergraph", "bisect", "partition_optimize"]
+__all__ = [
+    "Hypergraph", "PartitionConfig", "bisect", "build_hypergraph", "cut_weight",
+    "partition_optimize",
+]
 
 _RESTARTS = 8
 _COARSEST = 32  # bisect coarsens while a level has more vertices than this
@@ -43,17 +46,12 @@ class PartitionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        im = self.imbalance
-        if isinstance(im, bool) or not isinstance(im, (int, float)) or not 0 <= im < 0.5:
-            raise EinPathError("imbalance must lie in [0, 0.5)")
-        for name, least in (("cutoff", 2), ("fm_passes", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise EinPathError(f"{name} must be an integer >= {least}")
+        check_number("imbalance", self.imbalance, 0, below=0.5)
+        check_int("cutoff", self.cutoff, 2)
+        check_int("fm_passes", self.fm_passes, 1)
         if self.leaf_optimizer not in _LEAVES:
             raise EinPathError(f"unknown leaf optimizer '{self.leaf_optimizer}'")
-        if type(self.seed) is not int:  # derive_seed hashes its repr: True is not 1
-            raise EinPathError("seed must be an integer")
+        check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -256,6 +254,13 @@ def _fm_pass(flat, side, sizes, lo, hi):
     return best_cum, len(moves)
 
 
+def _refine(flat, side, sizes, lo, hi, passes):
+    """Run up to `passes` FM passes, stopping after one that cuts nothing."""
+    for _ in range(passes):
+        if _fm_pass(flat, side, sizes, lo, hi)[0] <= 0:
+            break
+
+
 def _coarsen(flat, cap, rng):
     """Heavy-edge matching: in random order, each unmatched vertex joins
     the unmatched neighbour of highest positive rating, the sum of
@@ -357,10 +362,7 @@ def bisect(h, config=None):
                 break
             side[p] = 0
             size_a += vweights[p]
-        sizes = [size_a, n - size_a]
-        for _ in range(config.fm_passes):
-            if _fm_pass(coarse, side, sizes, lo, hi)[0] <= 0:
-                break
+        _refine(coarse, side, [size_a, n - size_a], lo, hi, config.fm_passes)
         weight = _cut(coarse, *_counts(coarse, side))
         if best is None or weight < best[0] - 1e-12:
             best = (weight, bytes(side))
@@ -368,10 +370,7 @@ def bisect(h, config=None):
     for cluster, finer in reversed(levels):
         side = bytearray(side[c] for c in cluster)
         size_b = sum(compress(finer.vweights, side))
-        sizes = [n - size_b, size_b]
-        for _ in range(config.fm_passes):
-            if _fm_pass(finer, side, sizes, lo, hi)[0] <= 0:
-                break
+        _refine(finer, side, [n - size_b, size_b], lo, hi, config.fm_passes)
     weight = _cut(flat, *_counts(flat, side))
     part_a = frozenset(v for v, s in zip(vertices, side) if not s)
     part_b = frozenset(vertices) - part_a

@@ -34,11 +34,13 @@ under flops a pair whose value provably passes the cap is rejected from
 its operands' values and head sizes, before its union is sized.
 """
 
+import operator
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
+from ._util import check_int
 from .core import CostReport, SsaPath, ssa_to_tree
 from .errors import BudgetError, EinPathError
 from .greedy import greedy_path
@@ -75,15 +77,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.metric not in _METRICS:
             raise EinPathError(f"unknown metric '{self.metric}'")
-        ib = self.init_bound
-        if isinstance(ib, bool) or not (ib in ("naive", "greedy") or isinstance(ib, int)):
-            raise EinPathError("init_bound must be 'naive', 'greedy' or an integer")
-        if isinstance(ib, int) and ib < 1:
-            raise EinPathError("an explicit bound must be >= 1")
-        mn = self.max_nodes
-        if mn is not None and (isinstance(mn, bool) or not isinstance(mn, int) or mn < 0):
-            raise EinPathError("max_nodes must be a nonnegative integer or None")
-        dl = self.deadline
+        if self.init_bound not in ("naive", "greedy"):
+            check_int("init_bound", self.init_bound, 1)
+        if self.max_nodes is not None:
+            check_int("max_nodes", self.max_nodes, 0)
+        dl = self.deadline  # not finite-checked: inf means what None does
         if dl is not None and (isinstance(dl, bool) or not isinstance(dl, (int, float))
                                or not dl > 0):
             raise EinPathError("deadline must be a positive number of seconds or None")
@@ -138,6 +136,21 @@ def _width(bits, most):
     return max(1, -(-bits // chunks))
 
 
+def _tables(values, most, unit, fold):
+    """Chunked subset tables over values: the chunk width, and per chunk of
+    that many values a table whose entry m folds unit with the values at the
+    bits of m (fold is commutative and associative). A lookup splits a mask
+    into chunks and folds their entries."""
+    width = _width(len(values), most)
+    tables = []
+    for lo in range(0, len(values), width):
+        tbl = [unit]
+        for v in values[lo:lo + width]:
+            tbl += list(map(fold, tbl, repeat(v)))  # the subsets holding v
+        tables.append(tbl)
+    return width, tables or [[unit]]
+
+
 class _Space:
     """Bitmask view of a network: index bits, extents, tensor index masks,
     and chunked tables of index-subset sizes and of tensor-subset index unions."""
@@ -156,26 +169,10 @@ class _Space:
         self.out_mask = 0
         for ix in network.output:
             self.out_mask |= 1 << self.bit[ix]
-        self.chunk = width = _width(len(names), _CHUNK)
-        tables = []
-        for lo in range(0, len(names), width):
-            part = self.extents[lo:lo + width]
-            tbl = [1] * (1 << len(part))
-            for m in range(1, len(tbl)):
-                b = m & -m
-                tbl[m] = tbl[m ^ b] * part[b.bit_length() - 1]
-            tables.append(tbl)
-        self.size_tables = tables or [[1]]
-        self.cover_chunk = width = _width(len(self.term_masks), _SUBSET_CHUNK)
-        covers = []
-        for lo in range(0, len(self.term_masks), width):
-            part = self.term_masks[lo:lo + width]
-            tbl = [0] * (1 << len(part))
-            for m in range(1, len(tbl)):
-                b = m & -m
-                tbl[m] = tbl[m ^ b] | part[b.bit_length() - 1]
-            covers.append(tbl)
-        self.cover_tables = covers
+        self.chunk, self.size_tables = _tables(self.extents, _CHUNK, 1, operator.mul)
+        self.cover_chunk, self.cover_tables = _tables(
+            self.term_masks, _SUBSET_CHUNK, 0, operator.or_
+        )
         self.all_terms = (1 << len(self.term_masks)) - 1
 
     def size(self, mask):
@@ -519,13 +516,6 @@ def exhaustive_path(network, config=None):
     return SsaPath(pairs), report, stats
 
 
-def exhaustive_dfs(network, config=None):
-    """Optimal contraction order: another name for exhaustive_bfs, kept for
-    callers of the depth-first name. Returns (tree, cost report, search
-    stats)."""
-    return exhaustive_bfs(network, config)
-
-
 def exhaustive_bfs(network, config=None):
     """Optimal contraction order by breadth-first subset search.
 
@@ -540,3 +530,6 @@ def exhaustive_bfs(network, config=None):
     """
     path, report, stats = exhaustive_path(network, config)
     return ssa_to_tree(path, network), report, stats
+
+
+exhaustive_dfs = exhaustive_bfs  # the depth-first name, kept for its callers

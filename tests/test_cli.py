@@ -146,6 +146,12 @@ def test_generation_error_exit_code(capsys):
     assert "generation failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("regularity", ["nan", "inf"])
+def test_gen_non_finite_regularity_exit_code(regularity, capsys):
+    assert cli_main(["gen", "--tensors", "5", "--regularity", regularity]) == 2
+    assert "regularity must be" in capsys.readouterr().err
+
+
 def test_bad_init_exit_code(net_file, capsys):
     assert cli_main(["optimize", "--input", str(net_file), "--method", "exhaustive-dfs",
                      "--init", "best"]) == 2

@@ -319,7 +319,9 @@ def test_price_is_the_cost_report(parts, seed, data):
         assert search._price(space, pairs) == cost(tree, net.extents)
 
 
-@pytest.mark.parametrize("engine", [exhaustive_dfs, exhaustive_bfs])
+@pytest.mark.parametrize(
+    "engine", [exhaustive_dfs, exhaustive_bfs], ids=["exhaustive_dfs", "exhaustive_bfs"]
+)
 def test_node_budget(engine):
     net = generate(GenConfig(n_tensors=12, extent_max=5, seed=3))
     tree, report, stats = engine(net, SearchConfig())
@@ -339,7 +341,9 @@ def test_node_budget(engine):
         engine(net, SearchConfig(init_bound="naive", max_nodes=naive.nodes_expanded - 1))
 
 
-@pytest.mark.parametrize("engine", [exhaustive_dfs, exhaustive_bfs])
+@pytest.mark.parametrize(
+    "engine", [exhaustive_dfs, exhaustive_bfs], ids=["exhaustive_dfs", "exhaustive_bfs"]
+)
 def test_deadline(engine):
     net = generate(GenConfig(n_tensors=12, extent_max=5, seed=3))
     with pytest.raises(BudgetError, match="deadline"):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,6 +90,17 @@ def test_config_validation():
         GenConfig(n_tensors=4, extent_min=3, extent_max=2)
     with pytest.raises(EinPathError):
         GenConfig(n_tensors=4, max_indices=-1)
+    # wrong types and non-finite numbers are refused too, not leaked as other errors
+    for bad in (
+        {"n_tensors": 2.5},
+        {"n_tensors": "5"},
+        {"regularity": math.nan},
+        {"regularity": math.inf},
+        {"extent_min": 1.5},
+        {"seed": True},  # the seed is hashed by repr: True would build another network than 1
+    ):
+        with pytest.raises(EinPathError):
+            GenConfig(**{"n_tensors": 4, **bad})
     GenConfig(n_tensors=4, extent_min=1, extent_max=1, max_indices=0)
 
 

@@ -62,8 +62,9 @@ def _plain(optimizer, config):
 
 
 _OPTIMIZERS = {
-    f"{engine.__name__}/{metric}/{'outer' if outer else 'sharing'}": _search(engine, metric, outer)
-    for engine in (exhaustive_dfs, exhaustive_bfs)
+    f"{name}/{metric}/{'outer' if outer else 'sharing'}": _search(engine, metric, outer)
+    # keyed by the name called: exhaustive_dfs is exhaustive_bfs under another name
+    for name, engine in (("exhaustive_dfs", exhaustive_dfs), ("exhaustive_bfs", exhaustive_bfs))
     for metric in ("flops", "peak_size")
     for outer in (False, True)
 }

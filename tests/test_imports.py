@@ -1,6 +1,7 @@
 """Every einpath module imports only the public names of the others."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import einpath
@@ -26,3 +27,41 @@ def _private_imports(path):
 def test_no_private_name_crosses_a_module():
     found = {path.name: hits for path in sorted(SRC.glob("*.py")) if (hits := _private_imports(path))}
     assert found == {}
+
+
+# every public name and the module that defines it, as the package exported
+# them before the package built __all__ from the modules' lists
+PUBLIC = {
+    "core": (
+        "CostReport EinExpr SsaPath TensorNetwork TensorSig cost export_dot index_appearances "
+        "intermediates_equal naive ssa_to_tree summed_indices tensor_size tree_to_ssa "
+        "validate_tree"
+    ),
+    "errors": (
+        "BudgetError EinPathError EinsumSyntaxError GenerationError InvalidContractionError "
+        "MalformedPathError MissingExtentError NetworkValidationError TraceError "
+        "UnsupportedArityError"
+    ),
+    "formats": (
+        "document_to_network document_to_path dumps_network dumps_path loads_network "
+        "loads_path network_to_document parse_einsum path_to_document"
+    ),
+    "generate": "GenConfig generate",
+    "greedy": "GreedyConfig greedy greedy_path sampled_greedy",
+    "partition": (
+        "Hypergraph PartitionConfig bisect build_hypergraph cut_weight partition_optimize"
+    ),
+    "search": "SearchConfig SearchStats exhaustive_bfs exhaustive_dfs exhaustive_path",
+}
+
+
+def test_package_all_is_the_union_of_the_module_lists():
+    lists = [importlib.import_module(f"einpath.{m}").__all__ for m in PUBLIC]
+    assert einpath.__all__ == sorted(name for names in lists for name in names)
+    assert len(set(einpath.__all__)) == len(einpath.__all__)
+    for m, names in PUBLIC.items():
+        module = importlib.import_module(f"einpath.{m}")
+        assert sorted(module.__all__) == sorted(names.split()), m
+        for name in names.split():
+            assert getattr(einpath, name) is getattr(module, name), name
+    assert len(einpath.__all__) == 51
