@@ -7,7 +7,7 @@ import io
 import sys
 import time
 
-from .core import cost, export_dot, ssa_to_tree, tree_to_ssa
+from .core import export_dot, ssa_to_tree, tree_to_ssa, verify_path
 from .errors import BudgetError, EinPathError, GenerationError
 from .formats import dumps_network, dumps_path, loads_network, loads_path
 from .generate import GenConfig, generate
@@ -112,8 +112,7 @@ def _cmd_gen(args):
 def _cmd_verify(args):
     network = loads_network(_read(args.network))
     path, claimed, _, _ = loads_path(_read(args.path))
-    tree = ssa_to_tree(path, network)  # valid by construction
-    actual = cost(tree, network.extents)
+    _, actual = verify_path(path, network)  # valid by construction, priced as rebuilt
     if actual != claimed:
         sys.stderr.write(
             "cost mismatch: document says "

@@ -35,6 +35,7 @@ __all__ = [
     "naive",
     "tree_to_ssa",
     "ssa_to_tree",
+    "verify_path",
     "intermediates_equal",
     "validate_tree",
     "index_appearances",
@@ -347,6 +348,14 @@ class CostReport:
     write_volume: int
 
 
+def _as_pair(step, pair):
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise MalformedPathError(f"pair {step} is not a pair: {pair!r}") from None
+    return a, b
+
+
 @dataclass(frozen=True)
 class SsaPath:
     """A contraction order as a flat list of SSA id pairs.
@@ -354,12 +363,13 @@ class SsaPath:
     Ids 0..n-1 are the input tensors in network order; each contraction
     appends a fresh id. Pairs keep the branch argument order. Ids are kept
     as given, never converted: `ssa_to_tree` refuses one that is not an int.
+    An entry that is not a pair raises MalformedPathError.
     """
 
     pairs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((a, b) for a, b in self.pairs))
+        object.__setattr__(self, "pairs", tuple(itertools.starmap(_as_pair, enumerate(self.pairs))))
 
     def __iter__(self):
         return iter(self.pairs)
@@ -408,7 +418,7 @@ def tree_to_ssa(tree):
 
 
 def _absorb(parts, appear):
-    """Per-index appearance counts of a node from its children's: the
+    """Per-index appearance counts of an n-ary node from its children's: the
     smaller dicts are added into the largest in place, and an index is
     dropped once its count reaches its appearances, so the dict's keys are
     the node's head. Only the smaller dicts' indices can reach it: every
@@ -425,46 +435,79 @@ def _absorb(parts, appear):
     return counts
 
 
-def ssa_to_tree(path, network):
-    """Rebuild the expression tree for an SSA path over a network.
+def contract_pair(counts_a, size_a, counts_b, size_b, appear, extents):
+    """The binary pair rule: contract two operands given as per-index
+    appearance counts and sizes. The smaller dict is added into the larger
+    in place (the first on a tie), and an index is summed, so dropped, when
+    its count reaches its appearances. The union's size is the product of
+    the operand sizes divided once by each shared extent, the result's
+    divided once more by each summed one. Returns (counts, union size,
+    result size); the counts' keys are the result's head."""
+    if len(counts_a) < len(counts_b):
+        counts_a, counts_b = counts_b, counts_a
+    union = size = size_a * size_b
+    for ix, c in counts_b.items():
+        d = counts_a.get(ix)
+        if d is None:
+            counts_a[ix] = c
+            continue
+        e = extents[ix]
+        union //= e
+        if c + d == appear[ix]:
+            size //= e * e
+            del counts_a[ix]
+        else:
+            size //= e
+            counts_a[ix] = c + d
+    return counts_a, union, size
 
-    Heads are recomputed from scratch with the appearance counts, so the
-    result is valid by construction: each node merges the smaller child's
-    count dict into the larger one's and drops the indices whose count
-    reaches their appearances. The path must be a full contraction: n-1
-    pairs, every id consumed exactly once.
+
+def verify_path(path, network):
+    """Rebuild the expression tree for an SSA path and price it in one walk.
+
+    Heads are recomputed from the appearance counts by the pair rule, so
+    the tree is valid by construction, and the rule's sizes give the cost
+    report as cost() would give it for the tree. The path must be a full
+    contraction: n-1 pairs, every id consumed exactly once; anything else
+    raises MalformedPathError. Returns (tree, CostReport).
     """
     n = len(network.tensors)
     appear = index_appearances(network)
-    alive = {}
-    for sig in network.tensors:
-        alive[sig.id] = (EinExpr.leaf(sig), dict.fromkeys(sig.indices, 1))
+    extents = network.extents
+    alive = {sig.id: (EinExpr.leaf(sig), dict.fromkeys(sig.indices, 1),
+                      tensor_size(sig.indices, extents)) for sig in network.tensors}
+    flops = peak = write = 0
     next_id = n
     for step, pair in enumerate(path):
-        try:
-            a, b = pair
-        except (TypeError, ValueError):
-            raise MalformedPathError(f"pair {step} is not a pair: {pair!r}") from None
+        a, b = _as_pair(step, pair)
         for x in (a, b):
             if type(x) is not int or not 0 <= x < next_id:
                 raise MalformedPathError(f"pair {step} references unknown id {x}")
         if a == b:
             raise MalformedPathError(f"pair {step} contracts id {a} with itself")
-        if a not in alive:
-            raise MalformedPathError(f"pair {step} reuses consumed id {a}")
-        if b not in alive:
-            raise MalformedPathError(f"pair {step} reuses consumed id {b}")
-        expr_a, counts_a = alive.pop(a)
-        expr_b, counts_b = alive.pop(b)
-        counts = _absorb((counts_a, counts_b), appear)
-        alive[next_id] = (EinExpr(head=frozenset(counts), args=(expr_a, expr_b)), counts)
+        for x in (a, b):
+            if x not in alive:
+                raise MalformedPathError(f"pair {step} reuses consumed id {x}")
+        expr_a, counts_a, size_a = alive.pop(a)
+        expr_b, counts_b, size_b = alive.pop(b)
+        counts, union, size = contract_pair(counts_a, size_a, counts_b, size_b, appear, extents)
+        flops += union
+        write += size
+        if counts or alive:
+            peak = max(peak, size)  # a scalar root is no intermediate
+        alive[next_id] = (EinExpr(head=frozenset(counts), args=(expr_a, expr_b)), counts, size)
         next_id += 1
     if len(alive) != 1:
         raise MalformedPathError(
             f"path has {len(path)} pairs but a full contraction of {n} tensors needs {n - 1}"
         )
-    (expr, _), = alive.values()
-    return expr
+    (expr, _, _), = alive.values()
+    return expr, CostReport(flops=flops, peak_size=peak, write_volume=write)
+
+
+def ssa_to_tree(path, network):
+    """The expression tree of an SSA path over a network: verify_path's tree."""
+    return verify_path(path, network)[0]
 
 
 def intermediates_equal(a, b):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from random import Random
 
 from ._util import check_int, check_number, derive_seed
-from .core import CostReport, SsaPath, index_appearances, ssa_to_tree, tensor_size
+from .core import CostReport, SsaPath, contract_pair, index_appearances, ssa_to_tree, tensor_size
 
 __all__ = ["GreedyConfig", "greedy", "greedy_path", "sampled_greedy"]
 
@@ -18,9 +18,11 @@ __all__ = ["GreedyConfig", "greedy", "greedy_path", "sampled_greedy"]
 class GreedyConfig:
     """Knobs for the greedy optimizer.
 
-    temperature > 0 (a finite int or float) samples pair selection from
-    the Boltzmann weights of the scores; samples > 1 repeats the whole run
-    and keeps the cheapest tree.
+    temperature > 0 (a finite int or float) samples pair selection: each
+    candidate's key is its score minus temperature times a Gumbel(0, 1)
+    draw made when it is pushed, so the first pick is an exact Boltzmann
+    draw over the scores and later picks reuse their candidates' draws.
+    samples > 1 repeats the whole run and keeps the cheapest tree.
     """
 
     temperature: float = 0.0
@@ -93,10 +95,10 @@ def _greedy_pass(network, temperature=0.0, rng=None):
     carriers of its kept indices, one divisor per neighbour, the walk that
     also swaps it into the carrier sets; score() serves only the initial
     pairs and the lazy pair.
-    The pass prices itself as it merges, as cost() would price the rebuilt
-    tree: flops sums the sizes of the merged operands' index unions, write
-    volume the kept sizes, and the peak is the largest kept size, a scalar
-    root not counted.
+    Each merge is core's pair rule, contract_pair, and the pass prices
+    itself from the rule's sizes, as verify_path prices the rebuilt tree:
+    flops sums the union sizes, write volume the result sizes, and the peak
+    is the largest result size, a scalar root not counted.
     """
     appear = index_appearances(network)
     extents = network.extents
@@ -185,26 +187,11 @@ def _greedy_pass(network, temperature=0.0, rng=None):
                 i, j = j, i
         else:
             _, i, j = entry
-        # merge the smaller leg dict into the larger one; a summed index
-        # has no carrier left
-        kept, other = legs.pop(i), legs.pop(j)
-        if len(kept) < len(other):
-            kept, other = other, kept
-        union = size = sizes.pop(i) * sizes.pop(j)
-        for ix, c in other.items():
-            d = kept.get(ix)
-            if d is None:
-                kept[ix] = c
-                continue
-            e = extents[ix]
-            union //= e
-            if c + d == appear[ix]:
-                size //= e * e
-                del kept[ix]
-                del carriers[ix]
-            else:
-                size //= e
-                kept[ix] = c + d
+        legs_i, legs_j = legs.pop(i), legs.pop(j)
+        kept, union, size = contract_pair(legs_i, sizes.pop(i), legs_j, sizes.pop(j), appear, extents)
+        for ix in legs_j if kept is legs_i else legs_i:
+            if ix not in kept:
+                del carriers[ix]  # summed: no carrier left
         flops += union
         write += size
         if kept or legs:

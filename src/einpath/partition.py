@@ -16,7 +16,7 @@ from random import Random
 from typing import NamedTuple
 
 from ._util import check_int, check_number, derive_seed
-from .core import SsaPath, TensorNetwork, TensorSig, cost, ssa_to_tree
+from .core import TensorNetwork, TensorSig, verify_path
 from .errors import EinPathError
 from .greedy import greedy_path
 from .search import exhaustive_path
@@ -429,5 +429,4 @@ def partition_optimize(network, config=None):
     """
     config = config or PartitionConfig()
     pairs = _partition_pairs(network, config.seed, 0, config)
-    tree = ssa_to_tree(SsaPath(pairs), network)
-    return tree, cost(tree, network.extents)
+    return verify_path(pairs, network)

@@ -35,13 +35,14 @@ its operands' values and head sizes, before its union is sized.
 """
 
 import operator
+import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice, repeat
 
 from ._util import check_int
-from .core import CostReport, SsaPath, ssa_to_tree
+from .core import SsaPath, cost, naive, verify_path
 from .errors import BudgetError, EinPathError
 from .greedy import greedy_path
 
@@ -63,9 +64,14 @@ class SearchConfig:
     init_bound is "naive", "greedy" or an explicit positive metric value;
     it seeds the bound that clips the cost cap. outer_products widens the
     space to all pair sequences. max_nodes caps the nodes a call expands
-    and deadline its wall-clock seconds; a search that passes either raises
+    and deadline its wall-clock seconds (inf is no deadline, an int past the
+    largest float is refused); a search that passes either raises
     BudgetError. The deadline is read every few thousand nodes or scanned
-    pairs, so a call can overrun it slightly.
+    pairs, so a call can overrun it slightly. By default neither is set, and
+    the search is exponential in the tensors of a component where every
+    subset connects (with one batch index on every tensor, 21 tensors took
+    millions of nodes and seconds), so callers should set max_nodes or
+    deadline on such networks.
     """
 
     metric: str = "flops"
@@ -81,9 +87,10 @@ class SearchConfig:
             check_int("init_bound", self.init_bound, 1)
         if self.max_nodes is not None:
             check_int("max_nodes", self.max_nodes, 0)
-        dl = self.deadline  # not finite-checked: inf means what None does
+        dl = self.deadline  # inf means what None does; an int past the largest float
+        # would overflow the clock
         if dl is not None and (isinstance(dl, bool) or not isinstance(dl, (int, float))
-                               or not dl > 0):
+                               or not dl > 0 or isinstance(dl, int) and dl > sys.float_info.max):
             raise EinPathError("deadline must be a positive number of seconds or None")
 
 
@@ -202,38 +209,15 @@ class _Space:
         return union & outside
 
 
-def _price(space, pairs):
-    """Exact cost report of a full SSA pair list, as cost() reports it."""
-    n = len(space.term_masks)
-    leaves = [1 << t for t in range(n)]
-    heads = list(space.term_masks)
-    flops = peak = write = 0
-    last = len(pairs) - 1
-    for step, (a, b) in enumerate(pairs):
-        union = heads[a] | heads[b]
-        leaf = leaves[a] | leaves[b]
-        head = space.head(leaf, union)
-        flops += space.size(union)
-        size = space.size(head)
-        write += size
-        if not (step == last and head == 0):
-            peak = max(peak, size)  # a scalar root is no intermediate
-        leaves.append(leaf)
-        heads.append(head)
-    return CostReport(flops=flops, peak_size=peak, write_volume=write)
-
-
-def _initial_bound(network, space, config):
+def _initial_bound(network, config):
     """The bound that clips the cost cap: the explicit value, the naive
-    chain's, or the better of the greedy tree's and the naive chain's, so a
-    greedy-seeded search never starts looser than a naive-seeded one. The
-    naive chain is priced on the space, greedy's pairs by the greedy pass
-    itself, both with exact integers."""
+    tree's, or the better of the greedy tree's and the naive tree's, so a
+    greedy-seeded search never starts looser than a naive-seeded one. Both
+    are exact integers: core prices the naive tree, the greedy pass its own
+    pairs."""
     if not isinstance(config.init_bound, str):
         return config.init_bound
-    n = len(network.tensors)
-    naive_pairs = [(0 if t == 1 else n + t - 2, t) for t in range(1, n)]
-    value = getattr(_price(space, naive_pairs), config.metric)
+    value = getattr(cost(naive(network), network.extents), config.metric)
     if config.init_bound == "greedy":
         value = min(value, getattr(greedy_path(network)[1], config.metric))
     return value
@@ -464,19 +448,9 @@ def _emit(best, key, base_ssa, pairs, counter):
     return ssa
 
 
-def exhaustive_path(network, config=None):
-    """Optimal contraction order as SSA pairs, by the capped DP: each part
-    (the whole network when outer products are allowed, else its connected
-    components, lowest tensor first) is solved over its tensors, then, when
-    there are several, the spine joins the part results by an outer-product
-    search over them.
-
-    Every solve forms its target: the cap keeps rising while a pass rejects
-    a pair for cost, and a pass that rejects none has admitted every subset
-    the pair rule can form, which includes a connected part and any set of
-    units joined with outer products allowed. Returns (SsaPath, cost
-    report, search stats); the report is priced on the bitmask space.
-    """
+def _solve(network, config):
+    """exhaustive_path's driver: (SsaPath, tree, cost report, search stats),
+    the tree and its report from one verify_path walk over the pairs."""
     config = config or SearchConfig()
     budget = _Budget(config)
     space = _Space(network)
@@ -491,7 +465,7 @@ def exhaustive_path(network, config=None):
             f"combination search is capped at {_SPINE_CAP}"
         )
     stats = SearchStats()
-    bound = _initial_bound(network, space, config)
+    bound = _initial_bound(network, config)
     base = {1 << t: t for t in range(n)}
     pairs = []
     counter = [n]
@@ -511,9 +485,27 @@ def exhaustive_path(network, config=None):
             space, units, config.metric, True, True, bound, bound, stats, budget
         )
         _emit(spine, target, roots, pairs, counter)
-    report = _price(space, pairs)
+    path = SsaPath(pairs)
+    tree, report = verify_path(path, network)
     stats.best_cost = getattr(report, config.metric)
-    return SsaPath(pairs), report, stats
+    return path, tree, report, stats
+
+
+def exhaustive_path(network, config=None):
+    """Optimal contraction order as SSA pairs, by the capped DP: each part
+    (the whole network when outer products are allowed, else its connected
+    components, lowest tensor first) is solved over its tensors, then, when
+    there are several, the spine joins the part results by an outer-product
+    search over them.
+
+    Every solve forms its target: the cap keeps rising while a pass rejects
+    a pair for cost, and a pass that rejects none has admitted every subset
+    the pair rule can form, which includes a connected part and any set of
+    units joined with outer products allowed. Returns (SsaPath, cost
+    report, search stats); core's verify_path prices the pairs.
+    """
+    path, _, report, stats = _solve(network, config)
+    return path, report, stats
 
 
 def exhaustive_bfs(network, config=None):
@@ -526,10 +518,10 @@ def exhaustive_bfs(network, config=None):
     results are joined by an outer-product subset search. Raises
     BudgetError, with outer products off, on more than _SPINE_CAP
     components. Returns (tree, cost report, search stats), the tree rebuilt
-    from exhaustive_path's pairs.
+    from exhaustive_path's pairs and priced in the same walk.
     """
-    path, report, stats = exhaustive_path(network, config)
-    return ssa_to_tree(path, network), report, stats
+    _, tree, report, stats = _solve(network, config)
+    return tree, report, stats
 
 
 exhaustive_dfs = exhaustive_bfs  # the depth-first name, kept for its callers

@@ -28,6 +28,7 @@ from einpath import (
     tensor_size,
     tree_to_ssa,
     validate_tree,
+    verify_path,
 )
 from oracles import ssa_to_tree_reference, validate_network_reference, validate_tree_reference
 
@@ -345,7 +346,14 @@ def test_ssa_to_tree_matches_counter_reference(net, data, flaw):
             del pairs[step:]
         else:
             pairs[step] = data.draw(st.sampled_from([(a,), (a, b, a), a]))
-    assert _outcome(ssa_to_tree, pairs, net) == _outcome(ssa_to_tree_reference, pairs, net)
+    want = _outcome(ssa_to_tree_reference, pairs, net)
+    assert _outcome(ssa_to_tree, pairs, net) == want
+    # verify_path rebuilds the same tree, priced as cost() prices it, and
+    # raises the same errors
+    got = _outcome(verify_path, pairs, net)
+    if want[0] == "returned":
+        want = "returned", (want[1], cost(want[1], net.extents))
+    assert got == want
 
 
 def _random_nary_tree(net, draw, flaw):

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -16,10 +17,12 @@ from einpath import (
     generate,
     greedy,
     greedy_path,
+    naive,
     parse_einsum,
     ssa_to_tree,
     tree_to_ssa,
     validate_tree,
+    verify_path,
 )
 from einpath import search
 from einpath.search import exhaustive_bfs, exhaustive_dfs
@@ -251,10 +254,14 @@ def test_search_config_validation():
     for bad in (-1, True, 2.5, "10"):
         with pytest.raises(EinPathError):
             SearchConfig(max_nodes=bad)
-    for bad in (0, -1.0, True, "1", float("nan")):
+    for bad in (0, -1.0, True, "1", float("nan"), 10**400):
         with pytest.raises(EinPathError):
             SearchConfig(deadline=bad)
     SearchConfig(max_nodes=0, deadline=0.5)
+    # inf and the largest float-sized int mean no deadline in practice
+    net = _chain(4)
+    for far in (float("inf"), int(sys.float_info.max)):
+        assert exhaustive_dfs(net, SearchConfig(deadline=far))[1] == exhaustive_dfs(net)[1]
 
 
 def test_determinism():
@@ -299,12 +306,12 @@ def test_space_head_is_the_carrier_rule(n, n_open, seed, data):
 @given(parts=st.lists(st.integers(1, 7), min_size=1, max_size=3),
        seed=st.integers(0, 10**6), data=st.data())
 def test_price_is_the_cost_report(parts, seed, data):
-    # the bound seed prices SSA pairs on the bitmask space; it must equal
+    # verify_path prices SSA pairs as it rebuilds them; its report must equal
     # cost() on the rebuilt tree, for greedy's pairs, the naive chain and
-    # any other full contraction, with open legs and several components
+    # any other full contraction, with open legs and several components.
+    # The naive chain's report is the naive tree's, the search's naive bound
     net = _union_of(parts, seed)
     n = len(net.tensors)
-    space = search._Space(net)
     greedy_pairs, _, _ = greedy_path(net)
     alive = list(range(n))
     drawn = []
@@ -316,7 +323,8 @@ def test_price_is_the_cost_report(parts, seed, data):
     chain = [(0 if t == 1 else n + t - 2, t) for t in range(1, n)]
     for pairs in (greedy_pairs, chain, drawn):
         tree = ssa_to_tree(SsaPath(pairs), net)
-        assert search._price(space, pairs) == cost(tree, net.extents)
+        assert verify_path(pairs, net) == (tree, cost(tree, net.extents))
+    assert verify_path(chain, net)[1] == cost(naive(net), net.extents)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -278,8 +279,10 @@ def test_path_ids_are_checked_not_coerced(closed6, pairs):
 
 
 def test_ssa_path_refuses_three_element_pair():
-    with pytest.raises(ValueError):
-        SsaPath(((0, 1, 2),))
+    # and any other entry that is not a pair, with ssa_to_tree's wording
+    for entry in ((0, 1, 2), (0,), 5):
+        with pytest.raises(MalformedPathError, match=re.escape(f"pair 1 is not a pair: {entry!r}")):
+            SsaPath(((0, 1), entry))
 
 
 @pytest.mark.parametrize("text, message", [

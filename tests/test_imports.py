@@ -29,13 +29,13 @@ def test_no_private_name_crosses_a_module():
     assert found == {}
 
 
-# every public name and the module that defines it, as the package exported
-# them before the package built __all__ from the modules' lists
+# every public name and the module that defines it: the names the package
+# exported before it built __all__ from the modules' lists, and verify_path
 PUBLIC = {
     "core": (
         "CostReport EinExpr SsaPath TensorNetwork TensorSig cost export_dot index_appearances "
         "intermediates_equal naive ssa_to_tree summed_indices tensor_size tree_to_ssa "
-        "validate_tree"
+        "validate_tree verify_path"
     ),
     "errors": (
         "BudgetError EinPathError EinsumSyntaxError GenerationError InvalidContractionError "
@@ -64,4 +64,4 @@ def test_package_all_is_the_union_of_the_module_lists():
         assert sorted(module.__all__) == sorted(names.split()), m
         for name in names.split():
             assert getattr(einpath, name) is getattr(module, name), name
-    assert len(einpath.__all__) == 51
+    assert len(einpath.__all__) == 52

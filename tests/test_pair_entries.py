@@ -1,6 +1,7 @@
 """The pair-level entries, greedy_path and exhaustive_path, and the tree
 optimizers built on them, over hyperedges, batch indices, extent 1,
-disconnected components and extents past 2^63.
+disconnected components and extents past 2^63: every path they return
+rebuilds and prices by verify_path as by ssa_to_tree and cost.
 
 The exhaustive search is exponential in the tensors of a part it solves:
 each connected component with outer products off, the whole network with
@@ -26,7 +27,9 @@ from einpath import (
     greedy_path,
     partition_optimize,
     ssa_to_tree,
+    tree_to_ssa,
     validate_tree,
+    verify_path,
 )
 
 
@@ -65,9 +68,11 @@ def _components(net):
 
 
 def _rebuilt(net, path, report):
+    # verify_path rebuilds the tree ssa_to_tree does and prices it as cost()
     tree = ssa_to_tree(path, net)
     validate_tree(tree, net)
     assert report == cost(tree, net.extents)
+    assert verify_path(path, net) == (tree, report)
     return tree
 
 
@@ -96,5 +101,4 @@ def test_pair_entries_report_the_cost_of_their_pairs(net, seed):
             assert stats.best_cost == getattr(report, metric)
             assert tree == exhaustive_dfs(net, config)[0]
     tree, report = partition_optimize(net)
-    validate_tree(tree, net)
-    assert report == cost(tree, net.extents)
+    assert _rebuilt(net, tree_to_ssa(tree), report) == tree
