@@ -121,10 +121,11 @@ class TensorNetwork:
             if ix in out_seen:
                 raise NetworkValidationError(f"output[{k}]", f"output index '{ix}' repeated")
             out_seen.add(ix)
-        if 1 in carriers.values():  # some index has one carrier: is it an output?
+        dangling = {ix for ix, c in carriers.items() if c == 1} - out_seen
+        if dangling:
             for pos, sig in enumerate(self.tensors):
                 for k, ix in enumerate(sig.indices):
-                    if carriers[ix] == 1 and ix not in out_seen:
+                    if ix in dangling:
                         raise NetworkValidationError(
                             f"tensors[{pos}].indices[{k}]",
                             f"index '{ix}' appears once and is not in the output (dangling)",
@@ -417,24 +418,6 @@ def tree_to_ssa(tree):
     return SsaPath(tuple(pairs))
 
 
-def _absorb(parts, appear):
-    """Per-index appearance counts of an n-ary node from its children's: the
-    smaller dicts are added into the largest in place, and an index is
-    dropped once its count reaches its appearances, so the dict's keys are
-    the node's head. Only the smaller dicts' indices can reach it: every
-    count a child keeps is below its appearances."""
-    counts = max(parts, key=len)
-    others = [part for part in parts if part is not counts]
-    for part in others:
-        for ix, c in part.items():
-            counts[ix] = counts.get(ix, 0) + c
-    for part in others:
-        for ix in part:
-            if counts.get(ix, 0) >= appear[ix]:
-                del counts[ix]
-    return counts
-
-
 def contract_pair(counts_a, size_a, counts_b, size_b, appear, extents):
     """The binary pair rule: contract two operands given as per-index
     appearance counts and sizes. The smaller dict is added into the larger
@@ -518,26 +501,34 @@ def intermediates_equal(a, b):
 def validate_tree(tree, network):
     """Check a tree against its network; raises on any violated invariant.
 
-    Verifies the leaf ids cover the tensors exactly once, every branch has
-    at least two args, and every stored head matches the head recomputed
-    from the appearance counts.
+    Checks the leaves first: ids in range, heads equal to their tensors'
+    indices, every tensor exactly once. Then every branch must have at least
+    two args, and its stored head must equal the head its args give when
+    folded left to right through the pair rule; with valid leaves no count
+    passes its appearances, so the fold keeps what the n-ary node keeps.
     """
-    appear = index_appearances(network)
     n = len(network.tensors)
+    ids = []
+    for node in tree.leaves():
+        if not 0 <= node.leaf_id < n:
+            raise MalformedPathError(f"leaf id {node.leaf_id} outside 0..{n - 1}")
+        sig = network.tensors[node.leaf_id]
+        if node.head != frozenset(sig.indices):
+            raise InvalidContractionError(
+                f"leaf {node.leaf_id} head {sorted(node.head)} does not match "
+                f"tensor indices {sorted(sig.indices)}"
+            )
+        ids.append(node.leaf_id)
+    if sorted(ids) != list(range(n)):
+        raise MalformedPathError("tree must use every tensor exactly once")
+    appear = index_appearances(network)
+    extents = network.extents
     vals = []
     stack = [(tree, False)]
     while stack:
         node, done = stack.pop()
         if node.is_leaf:
-            if not 0 <= node.leaf_id < n:
-                raise MalformedPathError(f"leaf id {node.leaf_id} outside 0..{n - 1}")
-            sig = network.tensors[node.leaf_id]
-            if node.head != frozenset(sig.indices):
-                raise InvalidContractionError(
-                    f"leaf {node.leaf_id} head {sorted(node.head)} does not match "
-                    f"tensor indices {sorted(sig.indices)}"
-                )
-            vals.append(dict.fromkeys(sig.indices, 1))
+            vals.append(dict.fromkeys(network.tensors[node.leaf_id].indices, 1))
             continue
         if not done:
             if len(node.args) < 2:
@@ -545,13 +536,13 @@ def validate_tree(tree, network):
             stack.append((node, True))
             stack.extend((a, False) for a in reversed(node.args))
             continue
-        counts = _absorb([vals.pop() for _ in node.args], appear)
-        head = frozenset(counts)
-        if node.head != head:
+        k = len(node.args)
+        counts = vals[-k]
+        for other in vals[1 - k:]:
+            counts = contract_pair(counts, 0, other, 0, appear, extents)[0]  # sizes unused
+        del vals[-k:]
+        if node.head != frozenset(counts):
             raise InvalidContractionError(
-                f"branch head {sorted(node.head)} should be {sorted(head)}"
+                f"branch head {sorted(node.head)} should be {sorted(counts)}"
             )
         vals.append(counts)
-    ids = sorted(node.leaf_id for node in tree.leaves())
-    if ids != list(range(n)):
-        raise MalformedPathError("tree must use every tensor exactly once")

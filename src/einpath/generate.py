@@ -5,11 +5,12 @@ from random import Random
 
 from ._util import check_int, check_number, derive_seed
 from .core import TensorNetwork, TensorSig
-from .errors import GenerationError
+from .errors import EinPathError, GenerationError
 
 __all__ = ["GenConfig", "generate"]
 
 _MAX_ATTEMPTS = 1000
+_MAX_TOTAL = 1 << 24  # most tensors plus contracting and open indices a config may ask for
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,12 @@ class GenConfig:
         check_int("seed", self.seed)
         if self.max_indices is not None:
             check_int("max_indices", self.max_indices, 0)
+        # the ints first: a float product with an int past the largest float overflows
+        if (max(self.n_tensors, self.n_open) > _MAX_TOTAL
+                or self.n_tensors + self.n_open + self.n_tensors * self.regularity / 2 > _MAX_TOTAL):
+            raise EinPathError(
+                f"n_tensors + n_open + n_tensors * regularity / 2 must be at most {_MAX_TOTAL}"
+            )
 
 
 def _distinct_pair(rng, n, first=None):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from random import Random
 
 from ._util import check_int, check_number, derive_seed
-from .core import CostReport, SsaPath, contract_pair, index_appearances, ssa_to_tree, tensor_size
+from .core import CostReport, SsaPath, contract_pair, index_appearances, tensor_size, verify_path
 
 __all__ = ["GreedyConfig", "greedy", "greedy_path", "sampled_greedy"]
 
@@ -263,8 +263,7 @@ def greedy(network, config=None):
     the cheapest of config.samples passes is kept (see greedy_path); only
     that pass is rebuilt as a tree. Returns the tree and its cost.
     """
-    path, report, _ = greedy_path(network, config)
-    return ssa_to_tree(path, network), report
+    return verify_path(greedy_path(network, config)[0], network)
 
 
 sampled_greedy = greedy  # the thermal optimizer's name, kept for its callers

@@ -53,7 +53,7 @@ _METRICS = ("flops", "peak_size")
 _SPINE_CAP = 13  # subset DP over disconnected component results
 _CHUNK = 11  # most index bits per precomputed size table
 _SUBSET_CHUNK = 8  # most tensor bits per precomputed union table
-_CLOCK_EVERY = 4096  # nodes or scanned pairs between deadline checks
+_CLOCK_EVERY = 4096  # scanned pairs between deadline checks
 _NEVER = 1 << 62  # a node count no search reaches
 
 
@@ -66,12 +66,12 @@ class SearchConfig:
     space to all pair sequences. max_nodes caps the nodes a call expands
     and deadline its wall-clock seconds (inf is no deadline, an int past the
     largest float is refused); a search that passes either raises
-    BudgetError. The deadline is read every few thousand nodes or scanned
-    pairs, so a call can overrun it slightly. By default neither is set, and
-    the search is exponential in the tensors of a component where every
-    subset connects (with one batch index on every tensor, 21 tensors took
-    millions of nodes and seconds), so callers should set max_nodes or
-    deadline on such networks.
+    BudgetError. The deadline is read as each subset DP starts and then
+    every few thousand scanned pairs, so a call can overrun it slightly. By
+    default neither is set, and the search is exponential in the tensors of
+    a component where every subset connects (with one batch index on every
+    tensor, 21 tensors took millions of nodes and seconds), so callers
+    should set max_nodes or deadline on such networks.
     """
 
     metric: str = "flops"
@@ -115,7 +115,7 @@ class _Budget:
     """The node and wall-clock limits of one search call, from its start."""
 
     def __init__(self, config):
-        self.max_nodes = config.max_nodes
+        self.max_nodes = _NEVER if config.max_nodes is None else config.max_nodes
         self.deadline = config.deadline
         self.stop = None if self.deadline is None else time.perf_counter() + self.deadline
 
@@ -125,15 +125,11 @@ class _Budget:
             raise BudgetError(f"search ran past its {self.deadline} s deadline")
 
     def check(self, nodes):
-        """Raise BudgetError when nodes (the call's total so far) or the clock
-        is past a limit; otherwise return the total at which to check again."""
-        if self.max_nodes is not None and nodes > self.max_nodes:
+        """Raise BudgetError when nodes (the call's total so far) is past the
+        node limit or the clock past the deadline."""
+        if nodes > self.max_nodes:
             raise BudgetError(f"search expanded more than {self.max_nodes} nodes")
-        if self.stop is None:
-            return _NEVER if self.max_nodes is None else self.max_nodes
         self.check_clock()
-        due = nodes + _CLOCK_EVERY
-        return due if self.max_nodes is None else min(due, self.max_nodes)
 
 
 def _width(bits, most):
@@ -312,8 +308,7 @@ def _floor(space, items, metric):
 # proves the pair's value above it.
 
 
-def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bound,
-               stats, budget):
+def _capped_dp(space, items, metric, allow_outer, start, bound, stats, budget):
     """Best tree per subset, admitting only subtrees within a cost cap.
 
     items are atomic units: (leafmask, head mask, base value). The first
@@ -356,7 +351,8 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bo
     factor = max(2, space.max_extent)
     top = target.bit_count()
     nodes = stats.nodes_expanded
-    check_at = budget.check(nodes)
+    budget.check(nodes)
+    max_nodes = budget.max_nodes
     scanned = 0
     clock_at = _CLOCK_EVERY
     while target not in best:
@@ -381,8 +377,8 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bo
                         if not allow_outer and not ha & hb:
                             continue
                         nodes += 1
-                        if nodes > check_at:
-                            check_at = budget.check(nodes)
+                        if nodes > max_nodes:
+                            budget.check(nodes)  # raises
                         key = a | b
                         if flops_metric:
                             value = va + vb
@@ -405,8 +401,7 @@ def _capped_dp(space, items, metric, allow_outer, exclude_root_scalar, start, bo
                             k += 1
                         if flops_metric:
                             value += s
-                        elif s > value and not (exclude_root_scalar and key == target
-                                                and head == 0):
+                        elif s > value:
                             value = s
                         if value > cap:
                             rejected += 1
@@ -474,16 +469,14 @@ def _solve(network, config):
     for part in parts:
         members = [(1 << t, space.term_masks[t], 0) for t in range(n) if part >> t & 1]
         best, _ = _capped_dp(
-            space, members, config.metric, config.outer_products, len(parts) == 1,
+            space, members, config.metric, config.outer_products,
             _floor(space, members, config.metric), bound, stats, budget,
         )
         roots[part] = _emit(best, part, base, pairs, counter)
         value, headmask, _ = best[part]
         units.append((part, headmask, value))
     if len(units) > 1:
-        spine, target = _capped_dp(
-            space, units, config.metric, True, True, bound, bound, stats, budget
-        )
+        spine, target = _capped_dp(space, units, config.metric, True, bound, bound, stats, budget)
         _emit(spine, target, roots, pairs, counter)
     path = SsaPath(pairs)
     tree, report = verify_path(path, network)

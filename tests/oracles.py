@@ -317,7 +317,11 @@ def ssa_to_tree_reference(path, network):
 
 def validate_tree_reference(tree, network):
     """Tree check with Counter sums at every node, the package's earlier
-    one: same checks in the same order, same errors, same messages."""
+    one: same checks, same errors, same messages. It checks each leaf as
+    the post-order walk reaches it and tensor coverage last, while the
+    package checks every leaf and the coverage before any branch, so on a
+    tree with several flaws the two can raise different ones; on a tree
+    with one flaw they agree."""
     appear = _appearances(network)
     n = len(network.tensors)
     vals = []
@@ -481,8 +485,7 @@ def bisect_reference(h, imbalance=0.2, fm_passes=10, seed=0):
     return part_a, frozenset(vertices) - part_a, weight
 
 
-def capped_dp_reference(space, items, metric, allow_outer, exclude_root_scalar, start, bound,
-                        stats, budget):
+def capped_dp_reference(space, items, metric, allow_outer, start, bound, stats, budget):
     """Best tree per subset, admitting only subtrees within a cost cap.
 
     The plain loop search._capped_dp must match exactly: it reads every
@@ -496,7 +499,12 @@ def capped_dp_reference(space, items, metric, allow_outer, exclude_root_scalar, 
     (best, target): best maps leafmask to (value, head mask, split or None)
     and lacks target when no tree over the units exists, which a pass that
     rejects no pair for cost proves. budget raises BudgetError once the
-    call's limits are passed.
+    call's limits are passed: it reads the node limit and the clock as the
+    call starts, then the node limit at every counted pair and the clock
+    every _CLOCK_EVERY scanned pairs. Under peak a pair is worth the
+    largest of its operands' values and its head's size, a scalar root's
+    size of 1 included: only a two-unit target of two units worth 0 can
+    tell, and no caller reads that value.
     """
     best = {}
     levels = defaultdict(list)
@@ -512,7 +520,7 @@ def capped_dp_reference(space, items, metric, allow_outer, exclude_root_scalar, 
     factor = max(2, space.max_extent)
     top = target.bit_count()
     nodes = stats.nodes_expanded
-    check_at = budget.check(nodes)
+    budget.check(nodes)
     scanned = 0
     clock_at = _CLOCK_EVERY
     while target not in best:
@@ -535,14 +543,12 @@ def capped_dp_reference(space, items, metric, allow_outer, exclude_root_scalar, 
                         if not allow_outer and not ha & hb:
                             continue
                         nodes += 1
-                        if nodes > check_at:
-                            check_at = budget.check(nodes)
+                        if nodes > budget.max_nodes:
+                            budget.check(nodes)
                         key = a | b
                         head = head_of(key, ha | hb)
                         if flops_metric:
                             value = va + vb + size(ha | hb)
-                        elif exclude_root_scalar and key == target and head == 0:
-                            value = va if va >= vb else vb
                         else:
                             value = max(va, vb, size(head))
                         if value > cap:

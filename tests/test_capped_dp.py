@@ -36,7 +36,7 @@ def _units(space, groups, bases):
 
 @st.composite
 def _cases(draw):
-    """(space, units, metric, allow_outer, exclude_root_scalar) over at most
+    """(space, units, metric, allow_outer) over at most
     nine tensors: generated regular networks or random hyperedge parts,
     extent-1 indices, sometimes a batch index on every tensor, and units of
     one tensor each or multi-bit runs of tensors."""
@@ -60,18 +60,18 @@ def _cases(draw):
     groups = [list(range(lo, hi)) for lo, hi in zip(ends, ends[1:])]
     bases = [draw(st.integers(0, 1000)) for _ in groups]
     return (space, _units(space, groups, bases), draw(st.sampled_from(["flops", "peak_size"])),
-            draw(st.booleans()), draw(st.booleans()))
+            draw(st.booleans()))
 
 
 def _run(solve, case, start, bound, offset=0, max_nodes=None):
     """Everything one solve leaves behind, and its stats: the best map in
     admission order, the target and the counters, or the BudgetError and
     the counters."""
-    space, units, metric, outer, no_scalar = case
+    space, units, metric, outer = case
     stats = search.SearchStats(nodes_expanded=offset)
     budget = search._Budget(SearchConfig(max_nodes=max_nodes))
     try:
-        best, target = solve(space, units, metric, outer, no_scalar, start, bound, stats, budget)
+        best, target = solve(space, units, metric, outer, start, bound, stats, budget)
     except BudgetError as err:
         return ("budget", str(err), stats.nodes_expanded, stats.prunes), stats
     return (list(best.items()), target, stats.nodes_expanded, stats.prunes), stats
@@ -121,7 +121,7 @@ def test_pass_counts_one_to_four(metric):
         net = generate(GenConfig(n_tensors=9, extent_max=5, n_open=seed % 3, seed=seed))
         space = search._Space(net)
         units = _units(space, [[t] for t in range(9)], [0] * 9)
-        case = (space, units, metric, False, True)
+        case = (space, units, metric, False)
         opt = _optimum(case)
         factor = max(2, space.max_extent)
         for k in range(4):
@@ -138,9 +138,9 @@ def test_pass_counts_one_to_four(metric):
 def test_one_head_per_subset(case):
     # the head a subset records, whichever split reached it first or best,
     # is the carrier rule applied to all of its tensors
-    space, units, metric, outer, no_scalar = case
+    space, units, metric, outer = case
     stats = search.SearchStats()
-    best, _ = search._capped_dp(space, units, metric, outer, no_scalar, 1, _HUGE, stats,
+    best, _ = search._capped_dp(space, units, metric, outer, 1, _HUGE, stats,
                                 search._Budget(SearchConfig()))
     for key, (_, head, split) in best.items():
         if split is None:

@@ -152,6 +152,11 @@ def test_gen_non_finite_regularity_exit_code(regularity, capsys):
     assert "regularity must be" in capsys.readouterr().err
 
 
+def test_gen_too_large_exit_code(capsys):
+    assert cli_main(["gen", "--tensors", "4", "--regularity", "1e308"]) == 2
+    assert "must be at most 16777216" in capsys.readouterr().err
+
+
 def test_bad_init_exit_code(net_file, capsys):
     assert cli_main(["optimize", "--input", str(net_file), "--method", "exhaustive-dfs",
                      "--init", "best"]) == 2

@@ -93,6 +93,27 @@ def test_tree_to_ssa_round_trip(closed6):
     assert intermediates_equal(tree, again)
 
 
+def test_tree_to_ssa_refuses_leaf_ids_not_0_to_n():
+    tree = EinExpr(head=frozenset(), args=(EinExpr(head={"a"}, leaf_id=0),
+                                           EinExpr(head={"a"}, leaf_id=2)))
+    with pytest.raises(MalformedPathError, match=r"^tree leaf ids must be exactly 0\.\.n-1$"):
+        tree_to_ssa(tree)
+
+
+def test_cost_refuses_a_one_argument_branch():
+    tree = EinExpr(head={"a"}, args=(EinExpr(head={"a"}, leaf_id=0),))
+    with pytest.raises(InvalidContractionError,
+                       match="^branch nodes need at least two arguments$"):
+        cost(tree, {"a": 2})
+
+
+def test_ssa_path_indexes_its_pairs():
+    path = SsaPath([[0, 1], (2, 3)])
+    assert (path[0], path[-1], path[:1]) == ((0, 1), (2, 3), ((0, 1),))
+    with pytest.raises(IndexError, match="^tuple index out of range$"):
+        path[2]
+
+
 def test_naive_single_node(closed6):
     chain = naive(closed6)
     assert len(chain.args) == len(closed6.tensors)
@@ -153,6 +174,26 @@ def test_validate_tree_catches_bad_head(closed6):
     bad = EinExpr(head=frozenset("i"), args=tree.args)
     with pytest.raises(InvalidContractionError):
         validate_tree(bad, closed6)
+
+
+def test_validate_tree_reports_a_leaf_flaw_before_a_branch_flaw():
+    # leaves are checked before any head: a wrong branch head on the left
+    # and a wrong leaf head on the right report the leaf
+    net = parse_einsum("ab,bc,cd->ad", {"a": 2, "b": 3, "c": 4, "d": 5})
+    tree = ssa_to_tree(SsaPath(((0, 1), (3, 2))), net)
+    left, right = tree.args
+    wrong_left = EinExpr(head=left.head | {"b"}, args=left.args)
+    wrong_leaf = EinExpr(head={"c"}, leaf_id=right.leaf_id)
+    for one in ((wrong_left, right), (left, wrong_leaf)):
+        with pytest.raises(InvalidContractionError):
+            validate_tree(EinExpr(head=tree.head, args=one), net)
+    both = EinExpr(head=tree.head, args=(wrong_left, wrong_leaf))
+    with pytest.raises(InvalidContractionError, match="^leaf 2 head "):
+        validate_tree(both, net)
+    # the counter reference checks each leaf as its walk reaches it, so it
+    # reports the branch on the left first
+    with pytest.raises(InvalidContractionError, match="^branch head "):
+        validate_tree_reference(both, net)
 
 
 def test_network_validation():

@@ -376,7 +376,7 @@ def _solve_units(net, cap=1, deadline=5):
     items = [(1 << t, m, 0) for t, m in enumerate(space.term_masks)]
     stats = search.SearchStats()
     budget = search._Budget(SearchConfig(deadline=deadline))
-    best, target = search._capped_dp(space, items, "flops", False, True, cap, cap, stats, budget)
+    best, target = search._capped_dp(space, items, "flops", False, cap, cap, stats, budget)
     return best, target, stats
 
 

@@ -226,6 +226,13 @@ def test_loads_network_bad_json():
         loads_network('{\n  "tensors": [}\n}')
 
 
+def test_documents_must_be_objects():
+    with pytest.raises(NetworkValidationError, match=r"^\$: document must be an object$"):
+        loads_network("[]")
+    with pytest.raises(MalformedPathError, match="^path document must be an object$"):
+        loads_path("[]")
+
+
 def test_loads_network_integer_past_digit_limit():
     # json.loads raises a plain ValueError past Python's 4,300-digit limit
     text = '{"tensors": [{"id": 0, "indices": ["a"]}], "extents": {"a": %s}, "output": ["a"]}'

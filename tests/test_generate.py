@@ -77,6 +77,29 @@ def test_max_indices_cap():
         generate(GenConfig(n_tensors=10, regularity=3.0, seed=4, max_indices=14))
 
 
+def test_max_indices_gives_up():
+    # touching three tensors takes two filler indices, so one never fits
+    with pytest.raises(GenerationError, match="^no network with at most 1 contracting "
+                                              "indices after 1000 attempts$"):
+        generate(GenConfig(n_tensors=3, regularity=0.0, max_indices=1))
+
+
+def test_size_bound():
+    # a network too large to hold is refused before anything is built, and
+    # an int past the largest float is compared before any float product
+    GenConfig(n_tensors=1 << 23, regularity=2.0)
+    for bad in (
+        {"n_tensors": 1 << 23, "regularity": 2.0, "n_open": 1},
+        {"n_tensors": 4, "regularity": 1e308},
+        {"n_tensors": 2, "regularity": 1e12},
+        {"n_tensors": 10**400},
+        {"n_tensors": 2, "n_open": 10**400},
+    ):
+        with pytest.raises(EinPathError, match="^n_tensors \\+ n_open \\+ n_tensors \\* "
+                                               "regularity / 2 must be at most 16777216$"):
+            GenConfig(**bad)
+
+
 def test_config_validation():
     with pytest.raises(EinPathError):
         GenConfig(n_tensors=0)

@@ -139,14 +139,14 @@ def test_sampled_keeps_best_sample(monkeypatch):
     # passes are priced as they run: only the kept one becomes a tree
     net = generate(GenConfig(n_tensors=14, regularity=3.0, extent_min=2, extent_max=5, seed=3))
     config = GreedyConfig(temperature=0.5, samples=8, seed=3)
-    rebuild = greedy_module.ssa_to_tree
+    rebuild = greedy_module.verify_path
     calls = []
 
     def counted(path, network):
         calls.append(path)
         return rebuild(path, network)
 
-    monkeypatch.setattr(greedy_module, "ssa_to_tree", counted)
+    monkeypatch.setattr(greedy_module, "verify_path", counted)
     tree, report = sampled_greedy(net, config)
     assert len(calls) == 1
     validate_tree(tree, net)
@@ -154,7 +154,7 @@ def test_sampled_keeps_best_sample(monkeypatch):
     flops = [r.flops for _, _, r in runs]
     pairs, _, best = runs[flops.index(min(flops))]
     assert report == best == cost(tree, net.extents)
-    assert tree_to_ssa(tree) == tree_to_ssa(rebuild(SsaPath(pairs), net))
+    assert tree_to_ssa(tree) == tree_to_ssa(rebuild(SsaPath(pairs), net)[0])
     # greedy_path returns the kept pass's pairs and the pushes of all eight
     path, path_report, pushes = greedy_path(net, config)
     assert (path.pairs, path_report) == (tuple(pairs), best)
